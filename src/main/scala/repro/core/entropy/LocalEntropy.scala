@@ -49,19 +49,38 @@ object EncodedRelation {
   private object NullToken
 }
 
-/** Main-memory entropy oracle over stripped partitions (PLIs).
+/** Main-memory entropy oracle over stripped partitions (PLIs), in the style
+  * of TANE (Huhtala et al., Comput. J. 1999).
   *
-  * The partition of a column set α assigns each row a cluster id; rows in
-  * singleton clusters are marked -1 ("stripped") — they contribute 0 to the
-  * entropy sum and never need to be tracked (paper Sec. 6.3, idea (1)).
-  * The partition of α ∪ β is the pairwise intersection of the partitions of
-  * α and β (idea (2): the TID-join). Partitions are cached LRU (singles are
-  * pinned); entropies are memoized unboundedly.
+  * The partition of a column set α groups the rows by their α-values. It is
+  * stored stripped (paper Sec. 6.3, idea (1)): only clusters of two or more
+  * rows are kept, as one row-id array cut into clusters by an offset array.
+  * Singleton clusters contribute 0 to Σ c·log2 c, which each partition
+  * carries from the moment it is built. Single columns are built once, by a
+  * counting sort over the dictionary codes. The partition of α ∪ {A} is the
+  * intersection of the partition of α with column A (idea (2): the
+  * TID-join). It splits the clusters of α with A's column of codes as the
+  * probe table, in time linear in the stripped rows of α, not in N.
   *
-  * This is our analog of the paper's main-memory H2 CNT/TID engine.
+  * On a memo miss for α, the oracle probes the cache for α − {A}, for each
+  * A ∈ α, and intersects the hit with the fewest stripped rows with column
+  * A. Only when none is cached does it scan the cache for the cached strict
+  * subset with the fewest stripped rows and intersect the remaining columns
+  * into it. Multi-column partitions are cached LRU, at most
+  * `partitionCacheCap` of them; single columns are kept aside. Entropies
+  * are memoized without bound in a primitive open-addressing table.
+  *
+  * This is our analog of the paper's main-memory H2 CNT/TID engine. It is
+  * not thread-safe: intersections share scratch arrays.
   */
 final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 256)
     extends EntropyOracle {
+  import LocalEntropyOracle.Pli
+
+  require(rel.n <= 64,
+    s"relation has ${rel.n} columns; AttrSet holds at most 64 attributes")
+  require(rel.rows.forall(_.length == rel.n),
+    s"every row must have ${rel.n} values, one per column")
 
   private val nR = rel.size
   def nAttrs: Int = rel.n
@@ -69,103 +88,325 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
 
   private var callCount = 0L
   private var compCount = 0L
+  private var intersectCount = 0L
+  private var cacheHitCount = 0L
+  private var touchedCount = 0L
   def calls: Long = callCount
   def computations: Long = compCount
 
-  private val hCache = new mutable.HashMap[Long, Double]()
+  /** Partition intersections performed, those with an empty input included. */
+  def partitionIntersections: Long = intersectCount
 
-  // LRU partition cache (access-order LinkedHashMap), singles pinned aside.
-  private val partCache = new java.util.LinkedHashMap[Long, Array[Int]](64, 0.75f, true) {
-    override def removeEldestEntry(e: java.util.Map.Entry[Long, Array[Int]]): Boolean =
+  /** Partition lookups answered by the LRU cache of multi-column partitions. */
+  def partitionCacheHits: Long = cacheHitCount
+
+  /** Stripped rows of the multi-column side read by intersections. */
+  def rowsTouched: Long = touchedCount
+
+  private val memo = new LongDoubleMap
+
+  // LRU partition cache (access-order LinkedHashMap), singles kept aside.
+  private val partCache = new java.util.LinkedHashMap[Long, Pli](64, 0.75f, true) {
+    override def removeEldestEntry(e: java.util.Map.Entry[Long, Pli]): Boolean =
       size() > partitionCacheCap
   }
 
-  /** Stripped partitions for single columns, built once from the codes. */
-  private val singles: Array[Array[Int]] =
-    Array.tabulate(rel.n) { c => strip(Array.tabulate(nR)(r => rel.rows(r)(c))) }
+  /** `c·log2 c` for c = 0..N. */
+  private val cLog2C: Array[Double] =
+    Array.tabulate(nR + 1)(c => if (c < 2) 0.0 else c * EntropyOracle.log2(c.toDouble))
+
+  /** Column-major codes in [0, N): `codes(c)(r)` is row r's code in column
+    * c. They are the probe tables of intersections.
+    */
+  private val codes: Array[Array[Int]] = Array.tabulate(rel.n)(denseCodes)
+  private val singles: Array[Pli] = codes.map(singleColumn)
+
+  // Intersection scratch, shared by all calls and left clean after each.
+  private val count = new Array[Int](nR) // per code of the probe column; 0 when idle
+  private val touched = new Array[Int](nR) // codes met by the current cluster
+  private val outRows = new Array[Int](nR)
+  private val outOffsets = new Array[Int](nR / 2 + 2) // at most N/2 clusters, plus the end
 
   def entropy(x: AttrSet): Double = {
     callCount += 1
-    hCache.getOrElseUpdate(x.bits, compute(x))
+    val h = memo.get(x.bits)
+    if (!java.lang.Double.isNaN(h)) h
+    else {
+      val v = compute(x)
+      memo.put(x.bits, v)
+      v
+    }
   }
 
   private def compute(x: AttrSet): Double = {
     compCount += 1
-    if (x.isEmpty || nR == 0) return 0.0
-    val p = partition(x)
-    EntropyOracle.fromGroupSizes(nRows, sumClog2C(p))
+    if (x.isEmpty || nR == 0) 0.0
+    else EntropyOracle.fromGroupSizes(nRows, partition(x).sumClog2C)
   }
 
-  /** Partition for α: start from the largest cached subset, intersect in the
-    * remaining single-column partitions.
+  /** Partition for α, one intersection away from the cached α − {A} with
+    * the fewest stripped rows when there is one.
     */
-  private def partition(x: AttrSet): Array[Int] = {
+  private def partition(x: AttrSet): Pli = {
     if (x.size == 1) return singles(x.head)
-    val cached = partCache.get(x.bits)
-    if (cached != null) return cached
-    // largest cached strict subset of x (singles always qualify)
-    var bestBits = 0L
-    var bestSize = 0
-    val it = partCache.keySet().iterator()
+    var best: Pli = null
+    var bestAttr = -1
+    var rest = x.bits
+    while (rest != 0L) {
+      val a = java.lang.Long.numberOfTrailingZeros(rest)
+      rest &= rest - 1
+      val p = cached(x - a)
+      if (p != null && (best == null || p.size < best.size)) { best = p; bestAttr = a }
+    }
+    val p = if (best != null) intersect(best, bestAttr) else fromCachedSubset(x)
+    partCache.put(x.bits, p)
+    p
+  }
+
+  /** The partition of `x` if it is a single column or cached, else null. */
+  private def cached(x: AttrSet): Pli =
+    if (x.size == 1) singles(x.head)
+    else {
+      val p = partCache.get(x.bits)
+      if (p != null) cacheHitCount += 1
+      p
+    }
+
+  /** Start from the cached strict subset of `x`, single columns included,
+    * with the fewest stripped rows (the most columns on a tie), found by a
+    * scan of the cache. Intersect the remaining columns into it, those with
+    * the fewest stripped rows first, and cache each step: the next miss
+    * nearby then finds a subset one column away.
+    */
+  private def fromCachedSubset(x: AttrSet): Pli = {
+    val first = smallestColumn(x.bits)
+    var start = singles(first)
+    var startBits = 1L << first
+    val it = partCache.entrySet().iterator()
     while (it.hasNext) {
-      val k = it.next()
-      val ks = AttrSet(k)
-      if (ks.strictSubsetOf(x) && ks.size > bestSize) { bestBits = k; bestSize = ks.size }
+      val e = it.next()
+      val ks = AttrSet(e.getKey)
+      val p = e.getValue
+      if (ks.strictSubsetOf(x) &&
+          (p.size < start.size || (p.size == start.size && ks.size > AttrSet(startBits).size))) {
+        start = p
+        startBits = ks.bits
+      }
     }
-    var acc: Array[Int] = null
-    var remaining = x
-    if (bestSize > 0) {
-      acc = partCache.get(bestBits)
-      remaining = x.diff(AttrSet(bestBits))
+    var acc = cached(AttrSet(startBits))
+    var accBits = startBits
+    while (accBits != x.bits) {
+      val c = smallestColumn(x.bits & ~accBits)
+      acc = intersect(acc, c)
+      accBits |= 1L << c
+      if (accBits != x.bits) partCache.put(accBits, acc)
     }
-    remaining.toSeq.foreach { c =>
-      acc = if (acc == null) singles(c) else intersect(acc, singles(c))
-    }
-    partCache.put(x.bits, acc)
     acc
   }
 
-  /** Intersect two stripped partitions: rows stripped in either side stay
-    * stripped; new clusters of size 1 are stripped too.
+  /** The column in `bits` whose partition has the fewest stripped rows. */
+  private def smallestColumn(bits: Long): Int = {
+    var best = -1
+    var rest = bits
+    while (rest != 0L) {
+      val c = java.lang.Long.numberOfTrailingZeros(rest)
+      rest &= rest - 1
+      if (best < 0 || singles(c).size < singles(best).size) best = c
+    }
+    best
+  }
+
+  /** Intersect stripped partition `a` with column `c`: split every cluster
+    * of `a` by its rows' codes in `c`, which serve as the probe table.
+    * Rows stripped in `a` stay stripped, and pieces of one row are
+    * stripped, so a row that is a singleton in `c` drops out. The cost is
+    * linear in the stripped rows of `a`; nothing of size N is touched.
     */
-  private def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new Array[Int](nR)
-    val ids = new mutable.HashMap[Long, Int]()
-    val counts = new mutable.ArrayBuffer[Int]()
-    var r = 0
-    while (r < nR) {
-      if (a(r) < 0 || b(r) < 0) out(r) = -1
-      else {
-        val k = (a(r).toLong << 32) | (b(r).toLong & 0xffffffffL)
-        val id = ids.getOrElseUpdate(k, { counts += 0; counts.size - 1 })
-        counts(id) += 1
-        out(r) = id
+  private def intersect(a: Pli, c: Int): Pli = {
+    intersectCount += 1
+    if (a.size == 0 || singles(c).size == 0) return LocalEntropyOracle.EmptyPli
+    touchedCount += a.size
+    val probe = codes(c)
+    var nOut = 0
+    var nClusters = 0
+    var sum = 0.0
+    var i = 0
+    while (i < a.nClusters) {
+      val from = a.offsets(i)
+      val until = a.offsets(i + 1)
+      if (until - from == 2) {
+        // Most clusters of a deep partition have two rows: keep or drop.
+        if (probe(a.rows(from)) == probe(a.rows(from + 1))) {
+          outOffsets(nClusters) = nOut
+          nClusters += 1
+          outRows(nOut) = a.rows(from)
+          outRows(nOut + 1) = a.rows(from + 1)
+          nOut += 2
+          sum += cLog2C(2)
+        }
+      } else {
+        // Count this cluster's rows per code.
+        var nTouched = 0
+        var q = from
+        while (q < until) {
+          val k = probe(a.rows(q))
+          if (count(k) == 0) { touched(nTouched) = k; nTouched += 1 }
+          count(k) += 1
+          q += 1
+        }
+        // Pieces of ≥ 2 rows get an output cluster: their count becomes a
+        // write cursor. Pieces of one row are marked -1 and dropped.
+        var t = 0
+        while (t < nTouched) {
+          val k = touched(t)
+          val size = count(k)
+          if (size >= 2) {
+            outOffsets(nClusters) = nOut
+            nClusters += 1
+            count(k) = nOut
+            nOut += size
+            sum += cLog2C(size)
+          } else count(k) = -1
+          t += 1
+        }
+        q = from
+        while (q < until) {
+          val r = a.rows(q)
+          val k = probe(r)
+          if (count(k) >= 0) { outRows(count(k)) = r; count(k) += 1 }
+          q += 1
+        }
+        t = 0
+        while (t < nTouched) { count(touched(t)) = 0; t += 1 }
       }
-      r += 1
+      i += 1
     }
-    r = 0
-    while (r < nR) {
-      if (out(r) >= 0 && counts(out(r)) == 1) out(r) = -1
-      r += 1
-    }
-    out
+    outOffsets(nClusters) = nOut
+    new Pli(java.util.Arrays.copyOf(outRows, nOut),
+            java.util.Arrays.copyOf(outOffsets, nClusters + 1), sum)
   }
 
-  /** Relabel raw codes to cluster ids and strip singletons. */
-  private def strip(codes: Array[Int]): Array[Int] = {
-    val counts = new mutable.HashMap[Int, Int]()
-    codes.foreach(c => counts.update(c, counts.getOrElse(c, 0) + 1))
-    codes.map(c => if (counts(c) == 1) -1 else c)
-  }
-
-  /** Σ c·log2 c over non-singleton cluster sizes of a stripped partition. */
-  private def sumClog2C(p: Array[Int]): Double = {
-    val counts = new mutable.HashMap[Int, Int]()
+  /** Stripped partition of a column by a counting sort over its codes:
+    * clusters in code order, rows ascending within a cluster.
+    */
+  private def singleColumn(codes: Array[Int]): Pli = {
+    val size = new Array[Int](nR)
+    codes.foreach(k => size(k) += 1)
+    val cursor = new Array[Int](nR)
+    var nOut = 0
+    var nClusters = 0
+    var sum = 0.0
+    var k = 0
+    while (k < nR) {
+      if (size(k) >= 2) {
+        cursor(k) = nOut
+        nOut += size(k)
+        nClusters += 1
+        sum += cLog2C(size(k))
+      }
+      k += 1
+    }
+    val rows = new Array[Int](nOut)
+    val offsets = new Array[Int](nClusters + 1)
+    var i = 0
+    k = 0
+    while (k < nR) {
+      if (size(k) >= 2) { offsets(i) = cursor(k); i += 1 }
+      k += 1
+    }
+    offsets(nClusters) = nOut
     var r = 0
     while (r < nR) {
-      if (p(r) >= 0) counts.update(p(r), counts.getOrElse(p(r), 0) + 1)
+      val code = codes(r)
+      if (size(code) >= 2) { rows(cursor(code)) = r; cursor(code) += 1 }
       r += 1
     }
-    counts.valuesIterator.map(c => c * EntropyOracle.log2(c.toDouble)).sum
+    new Pli(rows, offsets, sum)
+  }
+
+  /** Column `c`'s codes in [0, N): as they are when they already lie there,
+    * as dictionary-encoded relations' do, else replaced by their rank among
+    * the column's distinct codes.
+    */
+  private def denseCodes(c: Int): Array[Int] = {
+    val codes = Array.tabulate(nR)(r => rel.rows(r)(c))
+    if (codes.forall(k => k >= 0 && k < nR)) codes
+    else {
+      val distinct = codes.clone()
+      java.util.Arrays.sort(distinct)
+      var u = 0
+      for (i <- distinct.indices if i == 0 || distinct(i) != distinct(i - 1)) {
+        distinct(u) = distinct(i)
+        u += 1
+      }
+      codes.map(k => java.util.Arrays.binarySearch(distinct, 0, u, k))
+    }
+  }
+}
+
+object LocalEntropyOracle {
+
+  /** A stripped partition: cluster i is `rows(offsets(i) until offsets(i + 1))`,
+    * every cluster has at least two rows, and `sumClog2C` = Σ c·log2 c over
+    * the cluster sizes c.
+    */
+  private final class Pli(val rows: Array[Int], val offsets: Array[Int], val sumClog2C: Double) {
+    def size: Int = rows.length
+    def nClusters: Int = offsets.length - 1
+  }
+
+  private val EmptyPli = new Pli(Array.emptyIntArray, Array(0), 0.0)
+}
+
+/** Open-addressing `Long → Double` map, linear probing, at most half full.
+  * Key 0 marks a free slot, so the entry for key 0 is held aside. `get`
+  * returns NaN for an absent key, so NaN must never be stored.
+  */
+private final class LongDoubleMap {
+  private var keys = new Array[Long](256)
+  private var vals = new Array[Double](256)
+  private var shift = 64 - 8 // 64 − log2(capacity)
+  private var used = 0
+  private var zeroVal = Double.NaN
+
+  /** The slot holding `k`, or the free slot where `k` belongs. */
+  private def slot(k: Long): Int = {
+    val mask = keys.length - 1
+    var i = ((k * 0x9E3779B97F4A7C15L) >>> shift).toInt
+    while (keys(i) != 0L && keys(i) != k) i = (i + 1) & mask
+    i
+  }
+
+  def get(k: Long): Double =
+    if (k == 0L) zeroVal
+    else {
+      val i = slot(k)
+      if (keys(i) == k) vals(i) else Double.NaN
+    }
+
+  def put(k: Long, v: Double): Unit =
+    if (k == 0L) zeroVal = v
+    else {
+      val i = slot(k)
+      if (keys(i) != k) { keys(i) = k; used += 1 }
+      vals(i) = v
+      if (2 * used > keys.length) grow()
+    }
+
+  private def grow(): Unit = {
+    val oldKeys = keys
+    val oldVals = vals
+    keys = new Array[Long](oldKeys.length * 2)
+    vals = new Array[Double](oldKeys.length * 2)
+    shift -= 1
+    var i = 0
+    while (i < oldKeys.length) {
+      if (oldKeys(i) != 0L) {
+        val j = slot(oldKeys(i))
+        keys(j) = oldKeys(i)
+        vals(j) = oldVals(i)
+      }
+      i += 1
+    }
   }
 }

@@ -15,7 +15,40 @@ object NaiveEntropy {
   }
 }
 
+/** Memoized oracle over [[NaiveEntropy]]: the reference that mining with
+  * [[LocalEntropyOracle]] is compared against.
+  */
+final class NaiveEntropyOracle(rel: EncodedRelation) extends EntropyOracle {
+  private val memo = scala.collection.mutable.HashMap.empty[Long, Double]
+  private var nCalls = 0L
+  def nAttrs: Int = rel.n
+  def nRows: Long = rel.size.toLong
+  def calls: Long = nCalls
+  def computations: Long = memo.size.toLong
+  def entropy(x: AttrSet): Double = {
+    nCalls += 1
+    memo.getOrElseUpdate(x.bits, NaiveEntropy.entropy(rel, x))
+  }
+}
+
 class LocalEntropySpec extends AnyFunSuite with PropSupport {
+
+  /** Skewed values (low codes far more frequent) and duplicated rows; the
+    * last column's codes are sparse and partly negative, not dictionary codes.
+    */
+  private def skewedRelation(nCols: Int, nRows: Int, rnd: Random): EncodedRelation = {
+    val domain = 2 + rnd.nextInt(6)
+    val rows = new Array[Array[Int]](nRows)
+    for (r <- 0 until nRows) {
+      rows(r) =
+        if (r > 0 && rnd.nextDouble() < 0.3) rows(rnd.nextInt(r)).clone()
+        else Array.tabulate(nCols) { c =>
+          val v = (math.pow(rnd.nextDouble(), 3) * domain).toInt
+          if (c == nCols - 1) v * 1009 - 500 else v
+        }
+    }
+    EncodedRelation(Vector.tabulate(nCols)(c => s"C$c"), rows)
+  }
 
   test("entropy of empty attribute set is 0") {
     val rel = TestData.randomRelation(3, 50, 4, seed = 1)
@@ -107,6 +140,87 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
     AttrSet.subsetsOf(AttrSet.range(5)).foreach { x =>
       assert(math.abs(small.entropy(x) - big.entropy(x)) < 1e-12)
     }
+  }
+
+  test("matches the naive entropy on skewed relations with duplicate rows, any cache size") {
+    val rnd = new Random(4242)
+    for (trial <- 0 until 8; cap <- Seq(1, 2, 256)) {
+      val rel = skewedRelation(6, 1 + rnd.nextInt(500), rnd)
+      val o = new LocalEntropyOracle(rel, partitionCacheCap = cap)
+      rnd.shuffle(AttrSet.subsetsOf(AttrSet.range(6)).toVector).foreach { x =>
+        val got = o.entropy(x)
+        val exp = NaiveEntropy.entropy(rel, x)
+        assert(math.abs(got - exp) < 1e-9, s"trial=$trial cap=$cap x=$x got=$got exp=$exp")
+      }
+    }
+  }
+
+  test("a key column empties every partition that contains it, touching no rows") {
+    val rnd = new Random(3)
+    val n = 60
+    val rel = EncodedRelation(Vector("K", "A", "B", "C", "D"),
+      Array.tabulate(n)(r => Array(r, rnd.nextInt(3), rnd.nextInt(3), rnd.nextInt(2), rnd.nextInt(4))))
+    val o = new LocalEntropyOracle(rel)
+    rnd.shuffle(AttrSet.subsetsOf(AttrSet.range(5)).toVector).foreach { x =>
+      val before = o.rowsTouched
+      val h = o.entropy(x)
+      if (x.contains(0)) {
+        assert(o.rowsTouched == before, s"x=$x touched ${o.rowsTouched - before} rows")
+        assert(math.abs(h - EntropyOracle.log2(n.toDouble)) < 1e-12, s"x=$x")
+      }
+    }
+    assert(o.rowsTouched > 0 && o.partitionIntersections > 0)
+  }
+
+  test("counters: one intersection per new pair, then a cache hit for the superset") {
+    val rel = TestData.randomRelation(4, 50, 3, seed = 12)
+    val o = new LocalEntropyOracle(rel)
+    o.entropy(AttrSet.of(0, 1))
+    assert(o.partitionIntersections == 1 && o.partitionCacheHits == 0)
+    val touched = o.rowsTouched
+    assert(touched > 0 && touched <= rel.size)
+    o.entropy(AttrSet.of(0, 1, 2)) // only {0,1} of its 2-subsets is cached
+    assert(o.partitionIntersections == 2 && o.partitionCacheHits == 1)
+    o.entropy(AttrSet.of(0, 1, 2)) // memo hit: no partition work
+    assert(o.partitionIntersections == 2 && o.partitionCacheHits == 1)
+  }
+
+  test("more than 64 columns is rejected, naming the AttrSet limit") {
+    val rel = EncodedRelation(Vector.tabulate(65)(i => s"C$i"), Array(Array.fill(65)(0)))
+    val e = intercept[IllegalArgumentException](new LocalEntropyOracle(rel))
+    assert(e.getMessage.contains("AttrSet") && e.getMessage.contains("64"))
+  }
+
+  test("a row whose arity differs from the column count is rejected") {
+    val rel = EncodedRelation(Vector("A", "B"), Array(Array(0, 1), Array(0)))
+    intercept[IllegalArgumentException](new LocalEntropyOracle(rel))
+  }
+
+  test("0 rows: every entropy is 0") {
+    val rel = EncodedRelation(Vector("A", "B", "C"), Array.empty[Array[Int]])
+    val o = new LocalEntropyOracle(rel)
+    AttrSet.subsetsOf(AttrSet.range(3)).foreach(x => assert(o.entropy(x) == 0.0, s"x=$x"))
+  }
+
+  test("0 columns: the oracle constructs and H(∅) = 0") {
+    val o = new LocalEntropyOracle(EncodedRelation(Vector.empty, Array.fill(5)(Array.empty[Int])))
+    assert(o.nAttrs == 0 && o.entropy(AttrSet.empty) == 0.0)
+  }
+
+  test("a constant column is one cluster of all N rows") {
+    val n = 16
+    val o = new LocalEntropyOracle(EncodedRelation(Vector("A", "B"), Array.fill(n)(Array(7, 3))))
+    assert(o.entropy(AttrSet.of(0, 1)) == 0.0)
+    assert(o.rowsTouched == n) // the intersected single column holds all N rows
+  }
+
+  test("duplicate rows: entropy counts each copy") {
+    // groups (0,0)×2, (1,1), (1,2): H = 0.5·1 + 2·0.25·2 = 1.5
+    val rel = EncodedRelation(Vector("A", "B"), Array(Array(0, 0), Array(0, 0), Array(1, 1), Array(1, 2)))
+    val o = new LocalEntropyOracle(rel)
+    assert(math.abs(o.entropy(AttrSet.range(2)) - 1.5) < 1e-12)
+    assert(math.abs(o.entropy(AttrSet.of(0)) - 1.0) < 1e-12)
+    assert(math.abs(o.entropy(AttrSet.of(1)) - 1.5) < 1e-12)
   }
 
   test("fromTuples encodes value equality per column") {
