@@ -48,14 +48,6 @@ final case class Mvd(key: AttrSet, deps: Vector[AttrSet]) {
     Mvd.of(key, for { a <- deps; b <- that.deps; c = a & b if c.nonEmpty } yield c)
   }
 
-  /** The standard (2-ary) coarsening that isolates dependent `i`:
-    * `X ↠ Yi | (rest)`.
-    */
-  def standardize(i: Int): Mvd = {
-    val other = deps.indices.filter(_ != i).map(deps).foldLeft(AttrSet.empty)(_ | _)
-    Mvd.of(key, Vector(deps(i), other))
-  }
-
   def render(names: Seq[String]): String =
     s"${key.render(names)} ↠ ${deps.map(_.render(names)).mkString(" | ")}"
 }

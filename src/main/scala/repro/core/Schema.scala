@@ -121,28 +121,4 @@ object JoinTree {
       }
     }
   }
-
-  /** Independent acyclicity test via GYO ear reduction — used to
-    * cross-validate [[fromSchema]] in the tests.
-    */
-  def gyoAcyclic(s: Schema): Boolean = {
-    var bags = s.bags.toList
-    var changed = true
-    while (changed && bags.size > 1) {
-      changed = false
-      // remove a bag that is an "ear": all its attributes are either unique
-      // to it or contained in one single other bag.
-      val earIdx = bags.indices.find { i =>
-        val b = bags(i)
-        val others = bags.indices.filter(_ != i).map(bags)
-        val shared = b.toSeq.filter(a => others.exists(_.contains(a)))
-        shared.isEmpty || others.exists(o => shared.forall(o.contains))
-      }
-      earIdx match {
-        case Some(i) => bags = bags.patch(i, Nil, 1); changed = true
-        case None    => ()
-      }
-    }
-    bags.size <= 1
-  }
 }

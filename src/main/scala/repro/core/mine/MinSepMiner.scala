@@ -64,27 +64,3 @@ final class MinSepMiner(calc: InfoCalc, omega: AttrSet, eps: Double, deadline: D
     c.toVector.distinct
   }
 }
-
-object MinSepMiner {
-
-  /** Brute-force reference: all minimal A,B-separators by checking every
-    * subset of Ω\{A,B} against every 2-partition (tests only; exponential).
-    * X separates A,B iff some 2-partition (Y,Z) of Ω\X with A∈Y, B∈Z has
-    * I(Y;Z|X) ≤ ε — an m-ary separating ε-MVD can always be coarsened to
-    * such a 2-partition without increasing J (Prop. 5.2).
-    */
-  def bruteForce(calc: InfoCalc, omega: AttrSet, eps: Double, a: Int, b: Int): Vector[AttrSet] = {
-    val ground = omega - a - b
-    def seps2(x: AttrSet): Boolean = {
-      val rest = ground.diff(x)
-      AttrSet.subsetsOf(rest).exists { y0 =>
-        val y = y0 + a
-        val z = rest.diff(y0) + b
-        calc.cmi(y, z, x) <= eps + InfoCalc.Tol
-      }
-    }
-    val separating = AttrSet.subsetsOf(ground).filter(seps2).toVector
-    // minimal: no strict subset separates
-    separating.filter(x => !separating.exists(y => y.strictSubsetOf(x)))
-  }
-}

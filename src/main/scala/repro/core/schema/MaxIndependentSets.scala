@@ -45,14 +45,4 @@ object MaxIndependentSets {
 
     bk(Set.empty, (0 until n).toSet, Set.empty)
   }
-
-  /** Brute-force reference for the tests: all maximal independent sets by
-    * scanning every vertex subset (exponential).
-    */
-  def bruteForce(n: Int, adj: Array[Array[Boolean]]): Set[Set[Int]] = {
-    def independent(s: Set[Int]): Boolean =
-      s.forall(i => s.forall(j => i == j || !adj(i)(j)))
-    val all = (0 until n).toSet.subsets().filter(independent).toVector
-    all.filter(s => !all.exists(t => s.subsetOf(t) && s != t)).toSet
-  }
 }

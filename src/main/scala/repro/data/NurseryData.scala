@@ -32,11 +32,12 @@ object NurseryData {
 
   val nRows: Long = domains.map(_._2.size.toLong).product // 12960
 
-  def load(spark: SparkSession): DataFrame = {
+  /** The first `min(rowCap, nRows)` rows of the product. */
+  def load(spark: SparkSession, rowCap: Long = nRows): DataFrame = {
     // enumerate the full product via mixed-radix decomposition of the row id
     val sizes = domains.map(_._2.size)
     val strides = sizes.scanRight(1)((s, acc) => s * acc).tail // stride of each digit
-    var df: DataFrame = spark.range(nRows).toDF("id")
+    var df: DataFrame = spark.range(math.min(rowCap, nRows)).toDF("id")
     val codeCols: Vector[Column] = domains.indices.map { i =>
       ((col("id") / strides(i)) % sizes(i)).cast("int")
     }.toVector

@@ -1,7 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{AttrSet, JoinTree, Maimon, Schema}
+import org.apache.spark.sql.functions.col
+import repro.core.{JoinTree, Maimon}
 import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
 import repro.core.info.InfoCalc
 import repro.core.mine.MvdMiner
@@ -9,49 +10,86 @@ import repro.core.quality.SchemaQuality
 import repro.core.schema.ASMiner
 import repro.data.{MetanomeLite, NurseryData}
 
-/** The paper's evaluation (Sec. 8), shared between the `jobs/` entrypoints
-  * and the `bench/` suites. Every public method reproduces one exhibit and
+/** The paper's evaluation (Sec. 8), shared between the `jobs/` entrypoint
+  * and the `bench/` suite. Every public method reproduces one exhibit and
   * returns structured rows; `format*` renders the table the paper prints.
   * Paper-reported numbers ride along where the exhibit has them (Table 2).
+  *
+  * Every exhibit takes the same two budgets: `rowCap`, the rows loaded per
+  * dataset, and `timeLimitMs`, the time limit of each measured point (one
+  * dataset, slice and ε).
   */
 object Experiments {
+
+  // ------------------------------------------------------------------
+  // Mining exhibits (Table 2, Figs. 13, 14, 18): one timed MvdMiner run
+  // per (dataset, slice of its frame, ε)
+  // ------------------------------------------------------------------
+
+  /** One measured mining point; `fullMvds` is 0 on minimal-separator-only runs. */
+  final case class MineRow(
+      dataset: String, eps: Double, rows: Long, cols: Int,
+      runtimeSec: Double, timedOut: Boolean, minSeps: Int, fullMvds: Int) {
+    def ratePerSec: Double = fullMvds / math.max(runtimeSec, 1e-3)
+    def paper: MetanomeLite.Entry = MetanomeLite.entry(dataset)
+  }
+
+  /** Mine through a fresh oracle: no point is timed on a memo an earlier point filled. */
+  private[exp] def mine(rel: EncodedRelation, eps: Double, timeLimitMs: Long,
+                        minSepsOnly: Boolean): MvdMiner.Result =
+    MvdMiner.mine(new InfoCalc(new LocalEntropyOracle(rel)), rel.n, eps, timeLimitMs, minSepsOnly)
+
+  /** Load each dataset at `rowCap` rows, cut it into `slices`, mine each slice at every ε. */
+  private def mineGrid(spark: SparkSession, datasets: Seq[String], rowCap: Int,
+                       slices: DataFrame => Seq[DataFrame], epss: Seq[Double],
+                       timeLimitMs: Long, minSepsOnly: Boolean): Vector[MineRow] =
+    datasets.toVector.flatMap { name =>
+      slices(MetanomeLite.load(spark, name, rowCap)).flatMap { df =>
+        val rel = EncodedRelation.fromDataFrame(df)
+        epss.map { eps =>
+          val res = mine(rel, eps, timeLimitMs, minSepsOnly)
+          MineRow(name, eps, rel.size.toLong, rel.n, res.elapsedMs / 1000.0,
+                  res.timedOut, res.distinctMinSeps.size, res.mvds.size)
+        }
+      }
+    }
+
+  private def timed(r: MineRow): String =
+    if (r.timedOut) f"TL(${r.runtimeSec}%.1f)" else f"${r.runtimeSec}%.1f"
+
+  private def mvdCount(r: MineRow): String =
+    if (r.timedOut) s"${r.fullMvds}*" else r.fullMvds.toString
 
   // ------------------------------------------------------------------
   // Table 2 — full-MVD mining at threshold 0 over the 20 datasets
   // ------------------------------------------------------------------
 
-  final case class Table2Row(
-      name: String, cols: Int, rows: Long,
-      runtimeSec: Double, timedOut: Boolean,
-      minSeps: Int, fullMvds: Int,
-      paperRows: Long, paperRuntimeSec: Option[Double], paperFullMvds: Option[Int])
+  def table2(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
+             names: Seq[String] = MetanomeLite.catalog.map(_.name)): Vector[MineRow] =
+    mineGrid(spark, names, rowCap, Seq(_), Seq(0.0), timeLimitMs, minSepsOnly = false)
 
-  def table2(spark: SparkSession, rowCap: Int, perDatasetMs: Long,
-             names: Seq[String] = MetanomeLite.catalog.map(_.name)): Vector[Table2Row] =
-    names.toVector.map { name =>
-      val e = MetanomeLite.entry(name)
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      val res = MvdMiner.mine(calc, rel.n, eps = 0.0, timeLimitMs = perDatasetMs)
-      Table2Row(name, rel.n, rel.size.toLong,
-                res.elapsedMs / 1000.0, res.timedOut,
-                res.distinctMinSeps.size, res.mvds.size,
-                e.paperRows, e.paperRuntimeSec, e.paperFullMvds)
-    }
-
-  def formatTable2(rows: Seq[Table2Row]): String =
+  def formatTable2(rows: Seq[MineRow]): String =
     fmt(
       Seq("dataset", "cols", "rows", "runtime[s]", "fullMVDs", "minSeps",
           "paperRows", "paperRuntime[s]", "paperFullMVDs"),
       rows.map { r =>
-        Seq(r.name, r.cols, r.rows,
-            if (r.timedOut) f"TL(${r.runtimeSec}%.1f)" else f"${r.runtimeSec}%.1f",
-            if (r.timedOut) s"${r.fullMvds}*" else r.fullMvds.toString,
-            r.minSeps, r.paperRows,
-            r.paperRuntimeSec.map(t => f"$t%.1f").getOrElse("TL"),
-            r.paperFullMvds.map(_.toString).getOrElse("NA"))
+        Seq(r.dataset, r.cols, r.rows, timed(r), mvdCount(r), r.minSeps, r.paper.paperRows,
+            r.paper.paperRuntimeSec.map(t => f"$t%.1f").getOrElse("TL"),
+            r.paper.paperFullMvds.map(_.toString).getOrElse("NA"))
       })
+
+  /** The scheme exhibits (Figs. 10/11, 12, 15): Maimon's two phases at each
+    * ε over one oracle. Both phases share `timeLimitMs`; the scheme
+    * enumeration is capped at 2000 schemes.
+    */
+  private def schemesPerEps(rel: EncodedRelation, epss: Seq[Double],
+                            timeLimitMs: Long): Seq[(Double, Vector[ASMiner.Scored])] = {
+    val oracle = new LocalEntropyOracle(rel)
+    epss.map { eps =>
+      val cfg = Maimon.Config(eps, timeLimitMs, timeLimitMs, maxSchemes = 2000)
+      eps -> Maimon.runWithOracle(oracle, rel.names, cfg).schemes.schemes
+    }
+  }
 
   // ------------------------------------------------------------------
   // Fig. 10/11 — Nursery use case: schemes with J, savings S%, spurious E%
@@ -61,34 +99,27 @@ object Experiments {
       eps: Double, j: Double, nRelations: Int, width: Int, intWidth: Int,
       savingsPct: Double, spuriousPct: Double, schema: String, pareto: Boolean)
 
-  def nurseryUseCase(spark: SparkSession,
+  def nurseryUseCase(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                      thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
-                     maxScored: Int = 40,
-                     mineMsPerEps: Long = 120000L): Vector[SchemeRow] = {
-    val df = NurseryData.load(spark).cache()
-    val nRows = df.count()
-    schemesWithQuality(spark, df, nRows, thresholds, maxScored, mineMsPerEps)
-  }
+                     maxScored: Int = 40): Vector[SchemeRow] =
+    schemesWithQuality(NurseryData.load(spark, rowCap), thresholds, maxScored, timeLimitMs)
 
   /** Mine schemes at each threshold, dedupe, score J / S% / E%, and mark the
     * pareto-optimal (S maximal, E minimal) schemes — the schemes the paper
     * details in Fig. 10 and connects by a line in Fig. 11.
     */
-  def schemesWithQuality(spark: SparkSession, df: DataFrame, nRows: Long,
-                         thresholds: Seq[Double], maxScored: Int,
-                         mineMsPerEps: Long): Vector[SchemeRow] = {
+  private def schemesWithQuality(frame: DataFrame, thresholds: Seq[Double],
+                                 maxScored: Int, timeLimitMs: Long): Vector[SchemeRow] = {
+    val df = frame.cache()
+    val nRows = df.count()
     val rel = EncodedRelation.fromDataFrame(df)
-    val calc = new InfoCalc(new LocalEntropyOracle(rel))
     val seen = scala.collection.mutable.HashSet.empty[Vector[Long]]
     val picked = Vector.newBuilder[(Double, ASMiner.Scored)]
     // spread the (expensive) quality-scoring budget across thresholds so the
     // reported schemes span the J range like the paper's Fig. 10/11
     val perEps = math.max(1, maxScored / math.max(1, thresholds.size))
-    for (eps <- thresholds) {
-      val mining = MvdMiner.mine(calc, rel.n, eps, mineMsPerEps)
-      val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(rel.n),
-                                 maxSchemes = 2000, timeLimitMs = mineMsPerEps)
-      val fresh = schemes.schemes.sortBy(_.j)
+    for ((eps, schemes) <- schemesPerEps(rel, thresholds, timeLimitMs)) {
+      val fresh = schemes.sortBy(_.j)
         .filter(s => s.schema.nRelations > 1 && !seen.contains(s.schema.bags.map(_.bits)))
       // evenly-spaced picks across the J range, so the scored sample spans
       // low-J (near-exact) through high-J schemes like the paper's Fig. 11
@@ -132,15 +163,13 @@ object Experiments {
   final case class AccuracyRow(dataset: String, bucketLo: Double, bucketHi: Double,
                                nSchemes: Int, medianE: Double, maxE: Double)
 
-  def accuracy(spark: SparkSession,
+  def accuracy(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                datasets: Seq[String] = Seq("abalone", "breast_cancer", "echocardiogram", "bridges"),
                thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
-               rowCap: Int = 5000, maxScored: Int = 30,
-               mineMsPerEps: Long = 60000L): Vector[AccuracyRow] =
+               maxScored: Int = 30): Vector[AccuracyRow] =
     datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap).cache()
-      val nRows = df.count()
-      val rows = schemesWithQuality(spark, df, nRows, thresholds, maxScored, mineMsPerEps)
+      val rows = schemesWithQuality(MetanomeLite.load(spark, name, rowCap), thresholds,
+                                    maxScored, timeLimitMs)
       val buckets = Seq((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 10.0))
       buckets.flatMap { case (lo, hi) =>
         val in = rows.filter(r => r.j >= lo && r.j < hi).map(_.spuriousPct).sorted
@@ -155,60 +184,33 @@ object Experiments {
                           r.nSchemes, f"${r.medianE}%.1f", f"${r.maxE}%.1f")))
 
   // ------------------------------------------------------------------
-  // Fig. 13 — row scalability of minimal-separator mining
+  // Figs. 13/14 — row and column scalability of minimal-separator mining
   // ------------------------------------------------------------------
 
-  final case class ScaleRow(dataset: String, eps: Double, rows: Long, cols: Int,
-                            runtimeSec: Double, timedOut: Boolean, minSeps: Int)
-
-  def rowScalability(spark: SparkSession,
+  /** Fig. 13: the first `fraction · rowCap` rows, all columns. */
+  def rowScalability(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                      datasets: Seq[String] = Seq("image", "foursquare", "ditag_feature"),
                      fractions: Seq[Double] = Seq(0.25, 0.5, 0.75, 1.0),
-                     epss: Seq[Double] = Seq(0.0, 0.01, 0.1),
-                     baseRows: Int = 40000, perPointMs: Long = 60000L): Vector[ScaleRow] =
-    datasets.toVector.flatMap { name =>
-      val full = MetanomeLite.load(spark, name, baseRows)
-      fractions.flatMap { f =>
-        val df = full.limit((baseRows * f).toInt)
-        val rel = EncodedRelation.fromDataFrame(df)
-        epss.map { eps =>
-          val calc = new InfoCalc(new LocalEntropyOracle(rel))
-          val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
-          ScaleRow(name, eps, rel.size.toLong, rel.n,
-                   res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
-        }
-      }
-    }
+                     epss: Seq[Double] = Seq(0.0, 0.01, 0.1)): Vector[MineRow] =
+    mineGrid(spark, datasets, rowCap,
+             full => fractions.map(f => full.limit((rowCap * f).toInt)),
+             epss, timeLimitMs, minSepsOnly = true)
 
-  // ------------------------------------------------------------------
-  // Fig. 14 — column scalability of minimal-separator mining
-  // ------------------------------------------------------------------
-
-  def colScalability(spark: SparkSession,
+  /** Fig. 14: the first `fraction` of the columns (at least 3), all rows. */
+  def colScalability(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                      datasets: Seq[String] = Seq("fd_reduced_30", "entity_source", "voter_state"),
                      fractions: Seq[Double] = Seq(0.25, 0.5, 0.75, 1.0),
-                     epss: Seq[Double] = Seq(0.0, 0.01, 0.1),
-                     rowCap: Int = 5000, perPointMs: Long = 30000L): Vector[ScaleRow] =
-    datasets.toVector.flatMap { name =>
-      val full = MetanomeLite.load(spark, name, rowCap)
-      fractions.flatMap { f =>
-        val k = math.max(3, (full.columns.length * f).toInt)
-        val df = full.select(full.columns.take(k).map(org.apache.spark.sql.functions.col): _*)
-        val rel = EncodedRelation.fromDataFrame(df)
-        epss.map { eps =>
-          val calc = new InfoCalc(new LocalEntropyOracle(rel))
-          val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
-          ScaleRow(name, eps, rel.size.toLong, rel.n,
-                   res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
-        }
-      }
-    }
+                     epss: Seq[Double] = Seq(0.0, 0.01, 0.1)): Vector[MineRow] =
+    mineGrid(spark, datasets, rowCap,
+             full => fractions.map { f =>
+               val k = math.max(3, (full.columns.length * f).toInt)
+               full.select(full.columns.take(k).map(col): _*)
+             },
+             epss, timeLimitMs, minSepsOnly = true)
 
-  def formatScale(rows: Seq[ScaleRow]): String =
+  def formatScale(rows: Seq[MineRow]): String =
     fmt(Seq("dataset", "eps", "rows", "cols", "runtime[s]", "minSeps"),
-        rows.map(r => Seq(r.dataset, r.eps, r.rows, r.cols,
-                          if (r.timedOut) f"TL(${r.runtimeSec}%.1f)" else f"${r.runtimeSec}%.1f",
-                          r.minSeps)))
+        rows.map(r => Seq(r.dataset, r.eps, r.rows, r.cols, timed(r), r.minSeps)))
 
   // ------------------------------------------------------------------
   // Fig. 15 — schema quality vs threshold
@@ -217,19 +219,13 @@ object Experiments {
   final case class QualityRow(dataset: String, eps: Double, nSchemes: Int,
                               maxRelations: Int, minWidth: Int, minIntWidth: Int)
 
-  def quality(spark: SparkSession,
+  def quality(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
               datasets: Seq[String] = Seq("image", "abalone", "adult", "breast_cancer"),
-              epss: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
-              rowCap: Int = 5000, perEpsMs: Long = 60000L): Vector[QualityRow] =
+              epss: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5)): Vector[QualityRow] =
     datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      epss.map { eps =>
-        val mining = MvdMiner.mine(calc, rel.n, eps, perEpsMs)
-        val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(rel.n),
-                                   maxSchemes = 2000, timeLimitMs = perEpsMs)
-        val nontrivial = schemes.schemes.filter(_.schema.nRelations > 1)
+      val rel = EncodedRelation.fromDataFrame(MetanomeLite.load(spark, name, rowCap))
+      schemesPerEps(rel, epss, timeLimitMs).map { case (eps, schemes) =>
+        val nontrivial = schemes.filter(_.schema.nRelations > 1)
         if (nontrivial.isEmpty) QualityRow(name, eps, 0, 1, rel.n, 0)
         else QualityRow(name, eps, nontrivial.size,
                         nontrivial.map(_.schema.nRelations).max,
@@ -247,30 +243,14 @@ object Experiments {
   // Fig. 18 — minimal separators vs full MVDs vs threshold
   // ------------------------------------------------------------------
 
-  final case class FullMvdRow(dataset: String, eps: Double, minSeps: Int,
-                              fullMvds: Int, runtimeSec: Double, timedOut: Boolean,
-                              ratePerSec: Double)
-
-  def fullMvdCounts(spark: SparkSession,
+  def fullMvdCounts(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                     datasets: Seq[String] = Seq("abalone", "breast_cancer", "echocardiogram", "bridges"),
-                    epss: Seq[Double] = Seq(0.0, 0.01, 0.05, 0.1, 0.3, 0.5),
-                    rowCap: Int = 5000, perPointMs: Long = 60000L): Vector[FullMvdRow] =
-    datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      epss.map { eps =>
-        val res = MvdMiner.mine(calc, rel.n, eps, perPointMs)
-        val sec = math.max(res.elapsedMs / 1000.0, 1e-3)
-        FullMvdRow(name, eps, res.distinctMinSeps.size, res.mvds.size,
-                   sec, res.timedOut, res.mvds.size / sec)
-      }
-    }
+                    epss: Seq[Double] = Seq(0.0, 0.01, 0.05, 0.1, 0.3, 0.5)): Vector[MineRow] =
+    mineGrid(spark, datasets, rowCap, Seq(_), epss, timeLimitMs, minSepsOnly = false)
 
-  def formatFullMvd(rows: Seq[FullMvdRow]): String =
+  def formatFullMvd(rows: Seq[MineRow]): String =
     fmt(Seq("dataset", "eps", "minSeps", "fullMVDs", "runtime[s]", "MVDs/s"),
-        rows.map(r => Seq(r.dataset, r.eps, r.minSeps,
-                          if (r.timedOut) s"${r.fullMvds}*" else r.fullMvds.toString,
+        rows.map(r => Seq(r.dataset, r.eps, r.minSeps, mvdCount(r),
                           f"${r.runtimeSec}%.1f", f"${r.ratePerSec}%.1f")))
 
   // ------------------------------------------------------------------

@@ -67,7 +67,7 @@ class MvdPropSpec extends AnyFunSuite with PropSupport {
   test("standardize yields a 2-ary coarsening") {
     checkProp(Prop.forAll(genMvd) { m =>
       (0 until m.arity).forall { i =>
-        val s = m.standardize(i)
+        val s = Reference.standardize(m, i)
         s.arity == 2 && m.refines(s) && s.deps.contains(m.deps(i))
       }
     })

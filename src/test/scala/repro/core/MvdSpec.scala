@@ -84,7 +84,7 @@ class MvdSpec extends AnyFunSuite {
 
   test("standardize isolates one dependent against the rest") {
     val phi = m(X, AttrSet.of(1), AttrSet.of(2), AttrSet.of(3))
-    val std = phi.standardize(0)
+    val std = Reference.standardize(phi, 0)
     assert(std.arity == 2)
     assert(std.deps.toSet == Set(AttrSet.of(1), AttrSet.of(2, 3)))
     assert(phi.refines(std))

@@ -37,7 +37,7 @@ class SchemaSpec extends AnyFunSuite {
     val t = JoinTree.fromSchema(paperSchema)
     assert(t.isDefined)
     assert(JoinTree.hasRunningIntersection(t.get))
-    assert(JoinTree.gyoAcyclic(paperSchema))
+    assert(Reference.gyoAcyclic(paperSchema))
   }
 
   test("paper join-tree separators are {A}, {AD}, {BD}") {
@@ -49,13 +49,13 @@ class SchemaSpec extends AnyFunSuite {
   test("triangle schema {AB, BC, CA} is cyclic") {
     val tri = s(AttrSet.of(0, 1), AttrSet.of(1, 2), AttrSet.of(0, 2))
     assert(JoinTree.fromSchema(tri).isEmpty)
-    assert(!JoinTree.gyoAcyclic(tri))
+    assert(!Reference.gyoAcyclic(tri))
   }
 
   test("star schema {XA, XB, XC} is acyclic") {
     val star = s(AttrSet.of(0, 1), AttrSet.of(0, 2), AttrSet.of(0, 3))
     assert(JoinTree.fromSchema(star).isDefined)
-    assert(JoinTree.gyoAcyclic(star))
+    assert(Reference.gyoAcyclic(star))
   }
 
   test("disjoint bags form an acyclic (cartesian) schema") {
@@ -84,7 +84,7 @@ class SchemaSpec extends AnyFunSuite {
       if (bags.nonEmpty) {
         val sc = Schema.of(bags)
         val viaTree = JoinTree.fromSchema(sc).isDefined
-        val viaGyo = JoinTree.gyoAcyclic(sc)
+        val viaGyo = Reference.gyoAcyclic(sc)
         assert(viaTree == viaGyo, s"disagreement on $sc: tree=$viaTree gyo=$viaGyo")
         if (viaTree) acyclicSeen += 1 else cyclicSeen += 1
       }

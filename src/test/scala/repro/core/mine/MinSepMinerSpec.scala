@@ -2,7 +2,7 @@ package repro.core.mine
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{AttrSet, TestData}
+import repro.core.{AttrSet, Reference, TestData}
 import repro.util.Deadline
 
 class MinSepMinerSpec extends AnyFunSuite {
@@ -16,7 +16,7 @@ class MinSepMinerSpec extends AnyFunSuite {
       val calc = TestData.calcOf(rel)
       val m = miner(calc, 5, 0.0)
       val got = m.mineMinSeps(0, 1).toSet
-      val exp = MinSepMiner.bruteForce(calc, AttrSet.range(5), 0.0, 0, 1).toSet
+      val exp = Reference.minSeps(calc, AttrSet.range(5), 0.0, 0, 1).toSet
       assert(got == exp, s"seed=$seed got=$got exp=$exp")
     }
   }
@@ -30,7 +30,7 @@ class MinSepMinerSpec extends AnyFunSuite {
       val pair = Seq((0, 1), (1, 3), (2, 4))(seed % 3)
       val m = miner(calc, 5, eps)
       val got = m.mineMinSeps(pair._1, pair._2).toSet
-      val exp = MinSepMiner.bruteForce(calc, AttrSet.range(5), eps, pair._1, pair._2).toSet
+      val exp = Reference.minSeps(calc, AttrSet.range(5), eps, pair._1, pair._2).toSet
       assert(got == exp, s"seed=$seed eps=$eps pair=$pair got=$got exp=$exp")
     }
   }

@@ -1,6 +1,8 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.entropy.EncodedRelation
+import repro.data.MetanomeLite
 
 /** Smoke tests of the evaluation harness at tiny scale — the full-scale runs
   * live in bench/. These pin the output schema and basic invariants of every
@@ -9,21 +11,19 @@ import repro.SparkSpec
 class ExperimentsSpec extends SparkSpec {
 
   test("table2 runs on the two smallest analogs and reports paper numbers") {
-    val rows = Experiments.table2(spark, rowCap = 200, perDatasetMs = 20000L,
-                                  names = Seq("bridges", "echocardiogram"))
+    val rows = Experiments.table2(spark, 200, 20000L, names = Seq("bridges", "echocardiogram"))
     assert(rows.size == 2)
-    val bridges = rows.find(_.name == "bridges").get
+    val bridges = rows.find(_.dataset == "bridges").get
     assert(bridges.cols == 13)
     assert(bridges.rows == 108L)
-    assert(bridges.paperRuntimeSec.contains(3.8))
-    assert(bridges.paperFullMvds.contains(60))
+    assert(bridges.paper.paperRuntimeSec.contains(3.8))
+    assert(bridges.paper.paperFullMvds.contains(60))
     assert(Experiments.formatTable2(rows).contains("bridges"))
   }
 
   test("fullMvdCounts: eps=0 count of full MVDs >= count of minimal separators") {
-    val rows = Experiments.fullMvdCounts(spark, datasets = Seq("bridges"),
-                                         epss = Seq(0.0, 0.3), rowCap = 200,
-                                         perPointMs = 20000L)
+    val rows = Experiments.fullMvdCounts(spark, 200, 20000L, datasets = Seq("bridges"),
+                                         epss = Seq(0.0, 0.3))
     assert(rows.size == 2)
     rows.filterNot(_.timedOut).foreach { r =>
       assert(r.fullMvds >= r.minSeps || r.minSeps == 0)
@@ -31,30 +31,35 @@ class ExperimentsSpec extends SparkSpec {
     assert(Experiments.formatFullMvd(rows).nonEmpty)
   }
 
+  test("each mining point starts from a cold entropy memo") {
+    val rel = EncodedRelation.fromDataFrame(MetanomeLite.load(spark, "bridges", 200))
+    val alone = Experiments.mine(rel, 0.3, 20000L, minSepsOnly = true)
+    Experiments.mine(rel, 0.0, 20000L, minSepsOnly = true)
+    val afterEps0 = Experiments.mine(rel, 0.3, 20000L, minSepsOnly = true)
+    assert(!alone.timedOut && !afterEps0.timedOut)
+    assert(alone.entropyComputations > 0)
+    assert(afterEps0.entropyComputations == alone.entropyComputations)
+  }
+
   test("rowScalability emits one row per (dataset, fraction, eps)") {
-    val rows = Experiments.rowScalability(spark, datasets = Seq("image"),
-                                          fractions = Seq(0.5, 1.0),
-                                          epss = Seq(0.0), baseRows = 400,
-                                          perPointMs = 20000L)
+    val rows = Experiments.rowScalability(spark, 400, 20000L, datasets = Seq("image"),
+                                          fractions = Seq(0.5, 1.0), epss = Seq(0.0))
     assert(rows.size == 2)
     assert(rows.map(_.rows).distinct.size == 2)
     assert(Experiments.formatScale(rows).contains("image"))
   }
 
   test("colScalability reduces the column count") {
-    val rows = Experiments.colScalability(spark, datasets = Seq("sg_bioentry"),
-                                          fractions = Seq(0.5, 1.0),
-                                          epss = Seq(0.0), rowCap = 300,
-                                          perPointMs = 20000L)
+    val rows = Experiments.colScalability(spark, 300, 20000L, datasets = Seq("sg_bioentry"),
+                                          fractions = Seq(0.5, 1.0), epss = Seq(0.0))
     assert(rows.size == 2)
     assert(rows.map(_.cols).distinct.size == 2)
     assert(rows.maxBy(_.cols).cols == 7)
   }
 
   test("quality rows carry monotone-threshold schema stats") {
-    val rows = Experiments.quality(spark, datasets = Seq("bridges"),
-                                   epss = Seq(0.0, 0.5), rowCap = 200,
-                                   perEpsMs = 20000L)
+    val rows = Experiments.quality(spark, 200, 20000L, datasets = Seq("bridges"),
+                                   epss = Seq(0.0, 0.5))
     assert(rows.size == 2)
     assert(Experiments.formatQuality(rows).contains("bridges"))
   }

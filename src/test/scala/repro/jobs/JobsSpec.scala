@@ -2,32 +2,30 @@ package repro.jobs
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The spark-submit entrypoints share the experiment harness with the bench
-  * suites (exercised there); here we pin the argument plumbing.
-  */
+/** The exhibit registry and argument plumbing; the exhibits run in the bench. */
 class JobsSpec extends AnyFunSuite {
 
-  test("argInt falls back to the default") {
-    assert(JobSession.argInt(Array.empty, 0, 42) == 42)
-    assert(JobSession.argInt(Array("7"), 1, 42) == 42)
+  test("every exhibit name resolves") {
+    assert(ExhibitJob.exhibits.keys.toSeq ==
+      Seq("table2", "nursery", "accuracy", "rowscale", "colscale", "quality", "fullmvd"))
+    ExhibitJob.exhibits.keys.foreach(n => assert(ExhibitJob.parse(Array(n))._1 == n))
   }
 
-  test("argInt parses a provided value") {
-    assert(JobSession.argInt(Array("7"), 0, 42) == 7)
-    assert(JobSession.argInt(Array("7", "9"), 1, 42) == 9)
+  test("an unknown exhibit name fails listing the known ones") {
+    for (args <- Seq(Array("table3"), Array.empty[String])) {
+      val e = intercept[IllegalArgumentException](ExhibitJob.parse(args))
+      ExhibitJob.exhibits.keys.foreach(n => assert(e.getMessage.contains(n)))
+    }
   }
 
-  test("argLong parses and falls back") {
-    assert(JobSession.argLong(Array("120000"), 0, 1L) == 120000L)
-    assert(JobSession.argLong(Array.empty, 0, 5L) == 5L)
+  test("omitted overrides fall back to the exhibit's defaults") {
+    assert(ExhibitJob.parse(Array("table2")) == (("table2", 20000, 120000L)))
+    assert(ExhibitJob.parse(Array("nursery")) == (("nursery", 12960, 120000L)))
+    assert(ExhibitJob.parse(Array("colscale", "700")) == (("colscale", 700, 30000L)))
   }
 
-  test("all seven job entrypoints exist with main methods") {
-    // compile-time presence check — one object per paper exhibit
-    val mains: Seq[Array[String] => Unit] = Seq(
-      Table2Job.main _, NurseryJob.main _, AccuracyJob.main _,
-      RowScaleJob.main _, ColScaleJob.main _, QualityJob.main _,
-      FullMvdJob.main _)
-    assert(mains.size == 7)
+  test("rowCap and timeLimitMs overrides are parsed") {
+    assert(ExhibitJob.parse(Array("fullmvd", "300", "10000")) == (("fullmvd", 300, 10000L)))
+    assert(ExhibitJob.parse(Array("rowscale", "8000", "120000")) == (("rowscale", 8000, 120000L)))
   }
 }
