@@ -24,8 +24,13 @@ class JobsSpec extends AnyFunSuite {
     assert(ExhibitJob.parse(Array("colscale", "700")) == (("colscale", 700, 30000L)))
   }
 
-  test("rowCap and timeLimitMs overrides are parsed") {
-    assert(ExhibitJob.parse(Array("fullmvd", "300", "10000")) == (("fullmvd", 300, 10000L)))
+  test("a rowCap override is parsed") {
+    assert(ExhibitJob.parse(Array("rowscale", "8000")) == (("rowscale", 8000, 60000L)))
     assert(ExhibitJob.parse(Array("rowscale", "8000", "120000")) == (("rowscale", 8000, 120000L)))
+  }
+
+  test("a timeLimitMs override is parsed and an omitted one falls back") {
+    assert(ExhibitJob.parse(Array("fullmvd", "300", "10000")) == (("fullmvd", 300, 10000L)))
+    assert(ExhibitJob.parse(Array("fullmvd", "300")) == (("fullmvd", 300, 60000L)))
   }
 }
