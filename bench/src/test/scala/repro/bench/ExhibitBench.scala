@@ -121,8 +121,8 @@ class ExhibitBench extends SparkSpec {
       // dependencies) — so we only require that *some* separators survive
       // at every fraction once any exist.
       val seps = sorted.filterNot(_.timedOut).map(_.minSeps)
-      if (seps.size >= 2 && seps.max > 0) {
-        assert(seps.forall(_ >= 0), s"$ds eps=$eps: negative count?")
+      if (seps.exists(_ > 0)) {
+        assert(seps.forall(_ > 0), s"$ds eps=$eps: a row fraction lost every separator: $seps")
       }
     }
   }

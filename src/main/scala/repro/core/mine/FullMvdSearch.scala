@@ -24,17 +24,8 @@ object FullMvdSearch {
     * (unrefinable) MVDs survive; with small `k` it is an existence probe
     * (used by ReduceMinSep / MineMinSeps with k = 1).
     */
-  /** Per-call search budget: number of distinct partitions visited before a
-    * call gives up and returns what it has. Keeps one explosive key from
-    * consuming an entire mining time limit (the paper bounds this with its
-    * 5h/30min TLs; Bell(6) ≈ 203, so small-n correctness tests are never
-    * truncated).
-    */
-  val DefaultMaxNodes: Int = 100000
-
   def fullMvds(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
-               a: Int, b: Int, k: Int, deadline: Deadline,
-               maxNodes: Int = DefaultMaxNodes): Vector[Mvd] = {
+               a: Int, b: Int, k: Int, deadline: Deadline): Vector[Mvd] = {
     require(!key.contains(a) && !key.contains(b), "key must not contain the pair")
     require(omega.contains(a) && omega.contains(b), "pair must be in omega")
     val out = mutable.ArrayBuffer.empty[Mvd]
@@ -47,8 +38,7 @@ object FullMvdSearch {
       case Some(phi) => if (visited.add(canon(phi))) stack.push(phi)
     }
 
-    while (stack.nonEmpty && out.size < k && visited.size < maxNodes &&
-           !deadline.exceeded) {
+    while (stack.nonEmpty && out.size < k && !deadline.exceeded) {
       val phi = stack.pop()
       if (calc.holds(phi, eps)) out += phi
       else {

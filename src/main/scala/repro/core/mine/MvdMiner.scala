@@ -25,7 +25,6 @@ object MvdMiner {
       entropyCalls: Long,
       entropyComputations: Long,
   ) {
-    def nMinSeps: Int = minSeps.valuesIterator.map(_.size).sum
     def distinctMinSeps: Vector[AttrSet] =
       minSeps.valuesIterator.flatten.toVector.distinct
   }
@@ -56,11 +55,8 @@ object MvdMiner {
         if (seps.nonEmpty) minSeps((a, b)) = seps
         if (!minSepsOnly) {
           for (x <- seps if !deadline.exceeded) {
-            // bounded per-separator expansion: one explosive key must not
-            // starve the remaining separators/pairs of the time budget.
             FullMvdSearch
-              .fullMvds(calc, omega, x, eps, a, b, k = Int.MaxValue, deadline,
-                        maxNodes = 20000)
+              .fullMvds(calc, omega, x, eps, a, b, k = Int.MaxValue, deadline)
               .foreach(mvds += _)
           }
         }

@@ -16,7 +16,11 @@ object ASMiner {
 
   final case class Scored(schema: Schema, j: Double, support: Vector[Mvd])
 
-  final case class Result(schemes: Vector[Scored], timedOut: Boolean, elapsedMs: Long)
+  /** `capped`: the enumeration stopped at `maxSchemes` maximal independent sets
+    * (also when there are exactly that many), so `schemes` may be partial.
+    */
+  final case class Result(schemes: Vector[Scored], timedOut: Boolean, capped: Boolean,
+                          elapsedMs: Long)
 
   def mine(calc: InfoCalc, mvds: Vector[Mvd], omega: AttrSet,
            maxSchemes: Int = Int.MaxValue, timeLimitMs: Long = -1L): Result = {
@@ -24,7 +28,7 @@ object ASMiner {
     val deadline = Deadline.ofMs(timeLimitMs)
     if (mvds.isEmpty)
       return Result(Vector(Scored(Schema.of(Vector(omega)), 0.0, Vector.empty)),
-                    timedOut = false, elapsedMs = 0L)
+                    timedOut = false, capped = false, elapsedMs = 0L)
 
     val n = mvds.size
     val adj = Array.tabulate(n, n)((i, j) =>
@@ -32,8 +36,9 @@ object ASMiner {
 
     val seen = mutable.HashSet.empty[Vector[Long]]
     val out = Vector.newBuilder[Scored]
-    var count = 0
+    var mis = 0
     MaxIndependentSets.enumerate(n, adj, maxSchemes, deadline) { q =>
+      mis += 1
       val support = q.toVector.sorted.map(mvds)
       val schema = SchemaSynthesis.build(support, omega)
       val key = schema.bags.map(_.bits)
@@ -42,10 +47,10 @@ object ASMiner {
         // guard anyway so a single bad set cannot kill the enumeration.
         JoinTree.fromSchema(schema).foreach { t =>
           out += Scored(schema, calc.jTree(t), support)
-          count += 1
         }
       }
     }
-    Result(out.result(), deadline.exceeded, (System.nanoTime() - start) / 1000000L)
+    Result(out.result(), deadline.exceeded, capped = mis >= maxSchemes,
+           (System.nanoTime() - start) / 1000000L)
   }
 }

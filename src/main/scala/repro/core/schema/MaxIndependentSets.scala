@@ -22,27 +22,28 @@ object MaxIndependentSets {
     val cAdj = Array.tabulate(n, n)((i, j) => i != j && !adj(i)(j))
     var emitted = 0
 
-    def bk(r: Set[Int], p0: Set[Int], x0: Set[Int]): Unit = {
-      if (emitted >= limit || deadline.exceeded) return
-      if (p0.isEmpty && x0.isEmpty) {
+    // Bron–Kerbosch on an explicit stack of (R, P, X, vertices left to branch on):
+    // recursion is as deep as the largest set and overflows on thousands of MVDs.
+    val stack = mutable.Stack.empty[(Set[Int], Set[Int], Set[Int], List[Int])]
+    def push(r: Set[Int], p: Set[Int], x: Set[Int]): Unit =
+      if (p.isEmpty && x.isEmpty) {
         emitted += 1
         emit(r)
-        return
+      } else {
+        // pivot: vertex of P ∪ X maximizing complement-neighbors in P
+        val pivot = (p ++ x).maxBy(u => p.count(cAdj(u)))
+        stack.push((r, p, x, p.toList.filter(v => !cAdj(pivot)(v))))
       }
-      // pivot: vertex of P ∪ X maximizing complement-neighbors in P
-      val pivot = (p0 ++ x0).maxBy(u => p0.count(cAdj(u)))
-      var p = p0
-      var x = x0
-      for (v <- p0 if !cAdj(pivot)(v)) {
-        if (emitted < limit && !deadline.exceeded) {
+
+    push(Set.empty, (0 until n).toSet, Set.empty)
+    while (stack.nonEmpty && emitted < limit && !deadline.exceeded) {
+      stack.pop() match {
+        case (_, _, _, Nil) =>
+        case (r, p, x, v :: rest) =>
+          stack.push((r, p - v, x + v, rest))
           val nv = (0 until n).filter(cAdj(v)).toSet
-          bk(r + v, p.filter(nv), x.filter(nv))
-          p -= v
-          x += v
-        }
+          push(r + v, p.filter(nv), x.filter(nv))
       }
     }
-
-    bk(Set.empty, (0 until n).toSet, Set.empty)
   }
 }

@@ -83,11 +83,11 @@ object Experiments {
     * enumeration is capped at 2000 schemes.
     */
   private def schemesPerEps(rel: EncodedRelation, epss: Seq[Double],
-                            timeLimitMs: Long): Seq[(Double, Vector[ASMiner.Scored])] = {
+                            timeLimitMs: Long): Seq[(Double, ASMiner.Result)] = {
     val oracle = new LocalEntropyOracle(rel)
     epss.map { eps =>
       val cfg = Maimon.Config(eps, timeLimitMs, timeLimitMs, maxSchemes = 2000)
-      eps -> Maimon.runWithOracle(oracle, rel.names, cfg).schemes.schemes
+      eps -> Maimon.runWithOracle(oracle, rel.names, cfg).schemes
     }
   }
 
@@ -102,24 +102,22 @@ object Experiments {
   def nurseryUseCase(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
                      thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
                      maxScored: Int = 40): Vector[SchemeRow] =
-    schemesWithQuality(NurseryData.load(spark, rowCap), thresholds, maxScored, timeLimitMs)
+    schemesWithQuality(EncodedRelation.fromDataFrame(NurseryData.load(spark, rowCap)),
+                       thresholds, maxScored, timeLimitMs)
 
   /** Mine schemes at each threshold, dedupe, score J / S% / E%, and mark the
     * pareto-optimal (S maximal, E minimal) schemes — the schemes the paper
     * details in Fig. 10 and connects by a line in Fig. 11.
     */
-  private def schemesWithQuality(frame: DataFrame, thresholds: Seq[Double],
+  private def schemesWithQuality(rel: EncodedRelation, thresholds: Seq[Double],
                                  maxScored: Int, timeLimitMs: Long): Vector[SchemeRow] = {
-    val df = frame.cache()
-    val nRows = df.count()
-    val rel = EncodedRelation.fromDataFrame(df)
     val seen = scala.collection.mutable.HashSet.empty[Vector[Long]]
     val picked = Vector.newBuilder[(Double, ASMiner.Scored)]
-    // spread the (expensive) quality-scoring budget across thresholds so the
+    // spread the quality-scoring budget across thresholds so the
     // reported schemes span the J range like the paper's Fig. 10/11
     val perEps = math.max(1, maxScored / math.max(1, thresholds.size))
-    for ((eps, schemes) <- schemesPerEps(rel, thresholds, timeLimitMs)) {
-      val fresh = schemes.sortBy(_.j)
+    for ((eps, res) <- schemesPerEps(rel, thresholds, timeLimitMs)) {
+      val fresh = res.schemes.sortBy(_.j)
         .filter(s => s.schema.nRelations > 1 && !seen.contains(s.schema.bags.map(_.bits)))
       // evenly-spaced picks across the J range, so the scored sample spans
       // low-J (near-exact) through high-J schemes like the paper's Fig. 11
@@ -130,8 +128,8 @@ object Experiments {
     }
     val rows = picked.result().map { case (eps, s) =>
       val tree = JoinTree.fromSchema(s.schema).get
-      val e = SchemaQuality.spuriousPct(df, tree, nRows)
-      val sv = SchemaQuality.savingsPct(df, s.schema, nRows)
+      val e = SchemaQuality.spuriousPct(rel, tree)
+      val sv = SchemaQuality.savingsPct(rel, s.schema)
       SchemeRow(eps, s.j, s.schema.nRelations, s.schema.width, s.schema.intWidth,
                 sv, e, s.schema.render(rel.names), pareto = false)
     }
@@ -168,8 +166,8 @@ object Experiments {
                thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
                maxScored: Int = 30): Vector[AccuracyRow] =
     datasets.toVector.flatMap { name =>
-      val rows = schemesWithQuality(MetanomeLite.load(spark, name, rowCap), thresholds,
-                                    maxScored, timeLimitMs)
+      val rel = EncodedRelation.fromDataFrame(MetanomeLite.load(spark, name, rowCap))
+      val rows = schemesWithQuality(rel, thresholds, maxScored, timeLimitMs)
       val buckets = Seq((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 10.0))
       buckets.flatMap { case (lo, hi) =>
         val in = rows.filter(r => r.j >= lo && r.j < hi).map(_.spuriousPct).sorted
@@ -216,28 +214,30 @@ object Experiments {
   // Fig. 15 — schema quality vs threshold
   // ------------------------------------------------------------------
 
+  /** `capped`: the `maxSchemes` cap cut the enumeration, so `nSchemes` is a lower bound. */
   final case class QualityRow(dataset: String, eps: Double, nSchemes: Int,
-                              maxRelations: Int, minWidth: Int, minIntWidth: Int)
+                              maxRelations: Int, minWidth: Int, minIntWidth: Int,
+                              capped: Boolean)
 
   def quality(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
               datasets: Seq[String] = Seq("image", "abalone", "adult", "breast_cancer"),
               epss: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5)): Vector[QualityRow] =
     datasets.toVector.flatMap { name =>
       val rel = EncodedRelation.fromDataFrame(MetanomeLite.load(spark, name, rowCap))
-      schemesPerEps(rel, epss, timeLimitMs).map { case (eps, schemes) =>
-        val nontrivial = schemes.filter(_.schema.nRelations > 1)
-        if (nontrivial.isEmpty) QualityRow(name, eps, 0, 1, rel.n, 0)
+      schemesPerEps(rel, epss, timeLimitMs).map { case (eps, res) =>
+        val nontrivial = res.schemes.filter(_.schema.nRelations > 1)
+        if (nontrivial.isEmpty) QualityRow(name, eps, 0, 1, rel.n, 0, res.capped)
         else QualityRow(name, eps, nontrivial.size,
                         nontrivial.map(_.schema.nRelations).max,
                         nontrivial.map(_.schema.width).min,
-                        nontrivial.map(_.schema.intWidth).min)
+                        nontrivial.map(_.schema.intWidth).min, res.capped)
       }
     }
 
   def formatQuality(rows: Seq[QualityRow]): String =
     fmt(Seq("dataset", "eps", "#schemes", "max#rel", "minWidth", "minIntW"),
-        rows.map(r => Seq(r.dataset, r.eps, r.nSchemes, r.maxRelations,
-                          r.minWidth, r.minIntWidth)))
+        rows.map(r => Seq(r.dataset, r.eps, if (r.capped) s"${r.nSchemes}*" else r.nSchemes,
+                          r.maxRelations, r.minWidth, r.minIntWidth)))
 
   // ------------------------------------------------------------------
   // Fig. 18 — minimal separators vs full MVDs vs threshold

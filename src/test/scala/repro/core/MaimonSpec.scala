@@ -1,8 +1,9 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.core.entropy.EncodedRelation
 import repro.core.quality.SchemaQuality
-import repro.data.{NurseryData, RunningExample}
+import repro.data.{MetanomeLite, NurseryData, RunningExample}
 
 /** End-to-end Maimon over Spark DataFrames. */
 class MaimonSpec extends SparkSpec {
@@ -31,6 +32,20 @@ class MaimonSpec extends SparkSpec {
     val maxApprox = approx.schemes.schemes.map(_.schema.nRelations).max
     assert(maxApprox >= maxExact) // approximation can only enrich decomposition
     assert(approx.mvds.size >= exact.mvds.size || approx.mvds.nonEmpty)
+  }
+
+  test("Lee's theorem on mined schemes: J = 0 schemes join back to R exactly") {
+    val df = MetanomeLite.load(spark, "breast_cancer", rowCap = 200).cache()
+    val rel = EncodedRelation.fromDataFrame(df)
+    val res = Maimon.run(df, Maimon.Config(eps = 0.0))
+    val multi = res.schemes.schemes.filter(_.schema.nRelations > 1)
+    assert(!res.mining.timedOut && multi.nonEmpty)
+    val distinctRows = df.distinct().count().toDouble
+    multi.foreach { s =>
+      val tree = JoinTree.fromSchema(s.schema).get
+      assert(SchemaQuality.joinSize(rel, tree) == distinctRows, s.schema.render(rel.names))
+      assert(SchemaQuality.spuriousPct(rel, tree) == 0.0, s.schema.render(rel.names))
+    }
   }
 
   test("nursery at eps=0 admits no exact multi-relation decomposition (Fig 10a)") {

@@ -3,6 +3,7 @@ package repro.core.quality
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{AttrSet, JoinTree, Schema}
+import repro.core.entropy.EncodedRelation
 import repro.data.RunningExample
 
 class SchemaQualitySpec extends SparkSpec {
@@ -72,7 +73,7 @@ class SchemaQualitySpec extends SparkSpec {
   test("projectedCells counts distinct projection cells") {
     // clean projections: ABD→3 rows, ACD→3, BDE→3, AF→2
     // cells = 3·3 + 3·3 + 3·3 + 2·2 = 31
-    assert(SchemaQuality.projectedCells(clean, paperSchema) == 31L)
+    assert(SchemaQuality.projectedCells(EncodedRelation.fromDataFrame(clean), paperSchema) == 31L)
   }
 
   test("savingsPct matches the cell arithmetic") {
@@ -88,6 +89,6 @@ class SchemaQualitySpec extends SparkSpec {
     val sc = Schema.of(Vector(AttrSet.of(0), AttrSet.of(1)))
     val t = JoinTree.fromSchema(sc).get
     assert(SchemaQuality.joinSize(df, t) == 12.0)
-    assert(SchemaQuality.projectedCells(df, sc) == 7L) // 3 + 4 cells
+    assert(SchemaQuality.projectedCells(EncodedRelation.fromDataFrame(df), sc) == 7L) // 3 + 4 cells
   }
 }

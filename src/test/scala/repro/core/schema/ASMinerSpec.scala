@@ -62,6 +62,15 @@ class ASMinerSpec extends AnyFunSuite {
     }
   }
 
+  test("a run cut by maxSchemes is labelled capped, an uncut run is not") {
+    val calc = TestData.calcOf(RunningExample.cleanEncoded)
+    val mined = MvdMiner.mine(calc, 6, eps = 0.0)
+    val all = ASMiner.mine(calc, mined.mvds, AttrSet.range(6))
+    assert(all.schemes.size >= 2 && !all.capped)
+    val cut = ASMiner.mine(calc, mined.mvds, AttrSet.range(6), maxSchemes = 1)
+    assert(cut.capped && cut.schemes.size == 1)
+  }
+
   test("support of each scheme is pairwise compatible") {
     val calc = TestData.calcOf(TestData.structuredRelation(60, 7))
     val mined = MvdMiner.mine(calc, 4, eps = 0.3)

@@ -18,6 +18,8 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
 
   test("empty graph: the single MIS is the full vertex set") {
     assert(collect(4, emptyGraph(4)) == Set(Set(0, 1, 2, 3)))
+    // one Bron–Kerbosch level per vertex: recursion that deep overflowed the stack
+    assert(collect(3000, emptyGraph(3000)) == Set((0 until 3000).toSet))
   }
 
   test("complete graph: each vertex is its own MIS") {

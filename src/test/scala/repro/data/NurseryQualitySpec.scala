@@ -2,6 +2,7 @@ package repro.data
 
 import repro.SparkSpec
 import repro.core.{AttrSet, JoinTree, Schema}
+import repro.core.entropy.EncodedRelation
 import repro.core.quality.SchemaQuality
 
 /** The paper's closed-form Nursery numbers (Sec. 8.1): the extreme schema
@@ -21,7 +22,7 @@ class NurseryQualitySpec extends SparkSpec {
   }
 
   test("extreme schema stores exactly 32 cells") {
-    assert(SchemaQuality.projectedCells(df, singletons) == 32L)
+    assert(SchemaQuality.projectedCells(EncodedRelation.fromDataFrame(df), singletons) == 32L)
   }
 
   test("extreme schema savings S = 99.9725%") {
