@@ -36,8 +36,9 @@ object Maimon {
   }
 
   def runWithOracle(oracle: EntropyOracle, names: Vector[String], cfg: Config): Result = {
-    val calc = new InfoCalc(oracle)
     val n = names.size
+    require(n >= 1, s"Maimon needs a relation with at least one column, got $n columns")
+    val calc = new InfoCalc(oracle)
     val mining = MvdMiner.mine(calc, n, cfg.eps, cfg.mineTimeLimitMs)
     val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(n),
                                cfg.maxSchemes, cfg.schemaTimeLimitMs)

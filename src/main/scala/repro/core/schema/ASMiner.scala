@@ -18,9 +18,12 @@ object ASMiner {
 
   /** `capped`: the enumeration stopped at `maxSchemes` maximal independent sets
     * (also when there are exactly that many), so `schemes` may be partial.
+    * `mis`: maximal independent sets emitted. `graphMs`: building the
+    * incompatibility graph; `enumMs`: enumerating its maximal independent
+    * sets, with the synthesis and scoring of each.
     */
   final case class Result(schemes: Vector[Scored], timedOut: Boolean, capped: Boolean,
-                          elapsedMs: Long)
+                          elapsedMs: Long, mis: Int, graphMs: Long, enumMs: Long)
 
   def mine(calc: InfoCalc, mvds: Vector[Mvd], omega: AttrSet,
            maxSchemes: Int = Int.MaxValue, timeLimitMs: Long = -1L): Result = {
@@ -28,18 +31,22 @@ object ASMiner {
     val deadline = Deadline.ofMs(timeLimitMs)
     if (mvds.isEmpty)
       return Result(Vector(Scored(Schema.of(Vector(omega)), 0.0, Vector.empty)),
-                    timedOut = false, capped = false, elapsedMs = 0L)
+                    timedOut = false, capped = false, elapsedMs = 0L, mis = 0,
+                    graphMs = 0L, enumMs = 0L)
 
-    val n = mvds.size
-    val adj = Array.tabulate(n, n)((i, j) =>
-      i != j && Compatibility.incompatible(mvds(i), mvds(j)))
+    val graph = incompatibilityGraph(mvds, deadline)
+    val built = System.nanoTime()
+    val graphMs = (built - start) / 1000000L
+    if (graph.isEmpty)
+      return Result(Vector.empty, timedOut = true, capped = false, elapsedMs = graphMs, mis = 0,
+                    graphMs = graphMs, enumMs = 0L)
 
     val seen = mutable.HashSet.empty[Vector[Long]]
     val out = Vector.newBuilder[Scored]
     var mis = 0
-    MaxIndependentSets.enumerate(n, adj, maxSchemes, deadline) { q =>
+    MaxIndependentSets.enumerateBitsets(mvds.size, graph.get, maxSchemes, deadline) { q =>
       mis += 1
-      val support = q.toVector.sorted.map(mvds)
+      val support = q.toVector.map(mvds)
       val schema = SchemaSynthesis.build(support, omega)
       val key = schema.bags.map(_.bits)
       if (seen.add(key)) {
@@ -50,7 +57,34 @@ object ASMiner {
         }
       }
     }
+    val end = System.nanoTime()
     Result(out.result(), deadline.exceeded, capped = mis >= maxSchemes,
-           (System.nanoTime() - start) / 1000000L)
+           (end - start) / 1000000L, mis, graphMs, (end - built) / 1000000L)
+  }
+
+  /** The incompatibility graph over `mvds` as bitset rows: bit j of row i is
+    * set iff `mvds(i) ♯ mvds(j)`. Each pair is tested once, for the upper
+    * triangle, and mirrored. None when the deadline fires; it is checked once
+    * per row.
+    */
+  private[schema] def incompatibilityGraph(mvds: Vector[Mvd],
+                                           deadline: Deadline): Option[Array[Array[Long]]] = {
+    val n = mvds.size
+    val ws = mvds.map(Compatibility.words).toArray
+    val rows = Array.ofDim[Long](n, MaxIndependentSets.words(n))
+    var i = 0
+    while (i < n) {
+      if (deadline.exceeded) return None
+      var j = i + 1
+      while (j < n) {
+        if (!Compatibility.compatible(ws(i), ws(j))) {
+          rows(i)(j >>> 6) |= 1L << j
+          rows(j)(i >>> 6) |= 1L << i
+        }
+        j += 1
+      }
+      i += 1
+    }
+    Some(rows)
   }
 }

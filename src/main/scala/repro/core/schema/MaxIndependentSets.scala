@@ -1,48 +1,142 @@
 package repro.core.schema
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 import repro.util.Deadline
 
 /** Enumeration of the maximal independent sets of a graph (paper Thm 7.3).
   *
   * A maximal independent set of G is a maximal clique of the complement
-  * graph, so we run Bron–Kerbosch with pivoting on the complement. The
-  * polynomial-delay enumerators of [11, 22] produce the same family; we cap
-  * output count and wall time instead of bounding delay.
+  * graph. We run Bron–Kerbosch with Tomita's pivot rule (Tomita, Tanaka &
+  * Takahashi, TCS 2006) on G's adjacency bitsets, reading the complement
+  * off the words. The polynomial-delay enumerators of [11, 22] produce the
+  * same family; we cap output count and wall time instead of bounding delay.
   */
 object MaxIndependentSets {
 
-  /** Emit maximal independent sets of the graph with `n` vertices and
-    * adjacency `adj` until `limit` sets are emitted or the deadline fires.
+  /** `Long` words in a bitset over `n` vertices. */
+  private[schema] def words(n: Int): Int = (n + 63) >>> 6
+
+  /** [[enumerateBitsets]] over a `Boolean` adjacency matrix (its diagonal is
+    * ignored), emitting each set as a `Set[Int]`.
     */
   def enumerate(n: Int, adj: Array[Array[Boolean]], limit: Int, deadline: Deadline)(
       emit: Set[Int] => Unit): Unit = {
+    val rows = Array.ofDim[Long](n, words(n))
+    for (i <- 0 until n; j <- 0 until n if i != j && adj(i)(j)) rows(i)(j >>> 6) |= 1L << j
+    enumerateBitsets(n, rows, limit, deadline)(s => emit(s.toSet))
+  }
+
+  /** Emit the maximal independent sets of the graph with `n` vertices, as
+    * ascending vertex arrays, until `limit` sets are emitted or the deadline
+    * fires. Row `i` of `adj` has bit `j` set iff `i` and `j` are adjacent;
+    * the rows must be symmetric with an empty diagonal.
+    *
+    * Bron–Kerbosch on an explicit stack with one frame per depth d, so the
+    * depth is not bounded by the JVM stack: the set R = r(0 until d), the
+    * candidates P (adjacent to no member of R) and the excluded X. The pivot
+    * is the u ∈ P ∪ X with the most candidates outside its closed
+    * neighbourhood N[u], ties to the lowest index. Every maximal set that
+    * extends R contains a vertex of P ∩ N[u], so the frame branches on those
+    * in ascending order.
+    */
+  def enumerateBitsets(n: Int, adj: Array[Array[Long]], limit: Int, deadline: Deadline)(
+      emit: Array[Int] => Unit): Unit = {
     if (n == 0) return
-    // complement adjacency: clique in cAdj == independent set in adj
-    val cAdj = Array.tabulate(n, n)((i, j) => i != j && !adj(i)(j))
+    val w = words(n)
+    // per depth: candidates, excluded, and the vertices still to branch on
+    val p, x, branch = ArrayBuffer.empty[Array[Long]]
+    val r = new Array[Int](n)
     var emitted = 0
 
-    // Bron–Kerbosch on an explicit stack of (R, P, X, vertices left to branch on):
-    // recursion is as deep as the largest set and overflows on thousands of MVDs.
-    val stack = mutable.Stack.empty[(Set[Int], Set[Int], Set[Int], List[Int])]
-    def push(r: Set[Int], p: Set[Int], x: Set[Int]): Unit =
-      if (p.isEmpty && x.isEmpty) {
-        emitted += 1
-        emit(r)
+    def popcount(a: Array[Long]): Int = {
+      var c = 0
+      var k = 0
+      while (k < w) { c += java.lang.Long.bitCount(a(k)); k += 1 }
+      c
+    }
+
+    /** The pivot of P, X, or -1 when some u ∈ X has no neighbour in P, so
+      * that no maximal set extends this frame.
+      */
+    def pivot(pd: Array[Long], xd: Array[Long]): Int = {
+      val pCount = popcount(pd)
+      var best, bestScore = -1
+      var k = 0
+      while (k < w) {
+        var bits = pd(k) | xd(k)
+        while (bits != 0L) {
+          val u = (k << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+          bits &= bits - 1
+          val row = adj(u)
+          var score = if ((pd(k) & (1L << u)) != 0L) -1 else 0
+          var j = 0
+          while (j < w) { score += java.lang.Long.bitCount(pd(j) & ~row(j)); j += 1 }
+          if (score == pCount) return -1
+          if (score > bestScore) { best = u; bestScore = score }
+        }
+        k += 1
+      }
+      best
+    }
+
+    /** Enter depth `d` with its P and X filled in: emit R when both are
+      * empty, else fill the frame's branch set. True when there is a vertex
+      * to branch on.
+      */
+    def open(d: Int): Boolean = {
+      val pd = p(d)
+      if (popcount(pd) == 0) {
+        if (popcount(x(d)) == 0) {
+          val set = java.util.Arrays.copyOf(r, d)
+          java.util.Arrays.sort(set)
+          emitted += 1
+          emit(set)
+        }
+        false
       } else {
-        // pivot: vertex of P ∪ X maximizing complement-neighbors in P
-        val pivot = (p ++ x).maxBy(u => p.count(cAdj(u)))
-        stack.push((r, p, x, p.toList.filter(v => !cAdj(pivot)(v))))
+        val u = pivot(pd, x(d))
+        if (u < 0) false
+        else {
+          val row = adj(u)
+          val b = branch(d)
+          var k = 0
+          while (k < w) { b(k) = pd(k) & row(k); k += 1 }
+          b(u >>> 6) |= pd(u >>> 6) & (1L << u)
+          true
+        }
+      }
+    }
+
+    def reserve(d: Int): Unit =
+      while (p.size <= d) {
+        p += new Array[Long](w); x += new Array[Long](w); branch += new Array[Long](w)
       }
 
-    push(Set.empty, (0 until n).toSet, Set.empty)
-    while (stack.nonEmpty && emitted < limit && !deadline.exceeded) {
-      stack.pop() match {
-        case (_, _, _, Nil) =>
-        case (r, p, x, v :: rest) =>
-          stack.push((r, p - v, x + v, rest))
-          val nv = (0 until n).filter(cAdj(v)).toSet
-          push(r + v, p.filter(nv), x.filter(nv))
+    reserve(0)
+    for (v <- 0 until n) p(0)(v >>> 6) |= 1L << v
+    var d = if (open(0)) 0 else -1
+    while (d >= 0 && emitted < limit && !deadline.exceeded) {
+      val b = branch(d)
+      var k = 0
+      while (k < w && b(k) == 0L) k += 1
+      if (k == w) d -= 1
+      else {
+        val v = (k << 6) + java.lang.Long.numberOfTrailingZeros(b(k))
+        val bit = 1L << v
+        b(k) &= ~bit
+        r(d) = v
+        reserve(d + 1)
+        val pd = p(d)
+        val xd = x(d)
+        val pc = p(d + 1)
+        val xc = x(d + 1)
+        val row = adj(v)
+        var j = 0
+        while (j < w) { pc(j) = pd(j) & ~row(j); xc(j) = xd(j) & ~row(j); j += 1 }
+        pc(k) &= ~bit
+        pd(k) &= ~bit
+        xd(k) |= bit
+        if (open(d + 1)) d += 1
       }
     }
   }

@@ -214,10 +214,12 @@ object Experiments {
   // Fig. 15 — schema quality vs threshold
   // ------------------------------------------------------------------
 
-  /** `capped`: the `maxSchemes` cap cut the enumeration, so `nSchemes` is a lower bound. */
+  /** `capped`: the `maxSchemes` cap cut the enumeration, so `nSchemes` is a lower bound.
+    * `mis`, `graphMs`, `enumMs`: as in [[ASMiner.Result]].
+    */
   final case class QualityRow(dataset: String, eps: Double, nSchemes: Int,
                               maxRelations: Int, minWidth: Int, minIntWidth: Int,
-                              capped: Boolean)
+                              capped: Boolean, mis: Int, graphMs: Long, enumMs: Long)
 
   def quality(spark: SparkSession, rowCap: Int, timeLimitMs: Long,
               datasets: Seq[String] = Seq("image", "abalone", "adult", "breast_cancer"),
@@ -226,18 +228,22 @@ object Experiments {
       val rel = EncodedRelation.fromDataFrame(MetanomeLite.load(spark, name, rowCap))
       schemesPerEps(rel, epss, timeLimitMs).map { case (eps, res) =>
         val nontrivial = res.schemes.filter(_.schema.nRelations > 1)
-        if (nontrivial.isEmpty) QualityRow(name, eps, 0, 1, rel.n, 0, res.capped)
+        if (nontrivial.isEmpty)
+          QualityRow(name, eps, 0, 1, rel.n, 0, res.capped, res.mis, res.graphMs, res.enumMs)
         else QualityRow(name, eps, nontrivial.size,
                         nontrivial.map(_.schema.nRelations).max,
                         nontrivial.map(_.schema.width).min,
-                        nontrivial.map(_.schema.intWidth).min, res.capped)
+                        nontrivial.map(_.schema.intWidth).min,
+                        res.capped, res.mis, res.graphMs, res.enumMs)
       }
     }
 
   def formatQuality(rows: Seq[QualityRow]): String =
-    fmt(Seq("dataset", "eps", "#schemes", "max#rel", "minWidth", "minIntW"),
+    fmt(Seq("dataset", "eps", "#schemes", "max#rel", "minWidth", "minIntW",
+            "#MIS", "graph[ms]", "enum[ms]"),
         rows.map(r => Seq(r.dataset, r.eps, if (r.capped) s"${r.nSchemes}*" else r.nSchemes,
-                          r.maxRelations, r.minWidth, r.minIntWidth)))
+                          r.maxRelations, r.minWidth, r.minIntWidth,
+                          r.mis, r.graphMs, r.enumMs)))
 
   // ------------------------------------------------------------------
   // Fig. 18 — minimal separators vs full MVDs vs threshold

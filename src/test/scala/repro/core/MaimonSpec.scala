@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.core.entropy.EncodedRelation
+import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
 import repro.core.quality.SchemaQuality
 import repro.data.{MetanomeLite, NurseryData, RunningExample}
 
@@ -75,5 +75,30 @@ class MaimonSpec extends SparkSpec {
     val sv = SchemaQuality.savingsPct(df, s.schema, 12960L)
     assert(e >= -1e-9)     // join of projections is a superset of R
     assert(sv > 0.0)       // the dense product compresses massively
+  }
+
+  test("a relation with 0 columns is rejected with its column count") {
+    val rel = EncodedRelation(Vector.empty, Array.fill(3)(Array.empty[Int]))
+    val e = intercept[IllegalArgumentException](
+      Maimon.runWithOracle(new LocalEntropyOracle(rel), rel.names, Maimon.Config(eps = 0.0)))
+    assert(e.getMessage.contains("0 columns"), e.getMessage)
+  }
+
+  test("a relation with 1 column: one single-bag scheme, no MVDs, complete") {
+    val rel = EncodedRelation(Vector("A"), Array(Array(0), Array(1), Array(1)))
+    val res = Maimon.runWithOracle(new LocalEntropyOracle(rel), rel.names, Maimon.Config(eps = 0.0))
+    assert(res.mvds.isEmpty && !res.mining.timedOut)
+    assert(!res.schemes.timedOut && !res.schemes.capped)
+    assert(res.schemes.schemes.map(_.schema.bags) == Vector(Vector(AttrSet.single(0))))
+    assert(res.schemes.schemes.head.j == 0.0)
+  }
+
+  test("a relation with 0 rows at eps = 0: complete, every scheme has J = 0") {
+    val rel = EncodedRelation(Vector("A", "B", "C", "D"), Array.empty[Array[Int]])
+    val res = Maimon.runWithOracle(new LocalEntropyOracle(rel), rel.names, Maimon.Config(eps = 0.0))
+    assert(res.nRows == 0L)
+    assert(!res.mining.timedOut && !res.schemes.timedOut && !res.schemes.capped)
+    assert(res.schemes.schemes.nonEmpty)
+    res.schemes.schemes.foreach(s => assert(s.j == 0.0, s.schema.toString))
   }
 }

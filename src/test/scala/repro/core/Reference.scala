@@ -1,6 +1,8 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.core.info.InfoCalc
+import repro.util.Deadline
 
 /** Reference implementations that the tests compare the program against:
   * exponential brute force or an independent algorithm.
@@ -28,6 +30,18 @@ object Reference {
     separating.filter(x => !separating.exists(y => y.strictSubsetOf(x)))
   }
 
+  /** MVD compatibility (paper Def. 7.1) over `AttrSet`s, written apart from
+    * the bitmask predicate of `Compatibility`.
+    */
+  def compatible(p: Mvd, q: Mvd): Boolean = {
+    def oneWay(p: Mvd, q: Mvd): Boolean =
+      p.deps.exists { ai =>
+        val side = p.key | ai
+        q.key.subsetOf(side) && q.deps.count(_.intersects(side)) >= 2
+      }
+    oneWay(p, q) && oneWay(q, p)
+  }
+
   /** All maximal independent sets by scanning every vertex subset (the
     * reference for `MaxIndependentSets.enumerate`; exponential).
     */
@@ -36,6 +50,44 @@ object Reference {
       s.forall(i => s.forall(j => i == j || !adj(i)(j)))
     val all = (0 until n).toSet.subsets().filter(independent).toVector
     all.filter(s => !all.exists(t => s.subsetOf(t) && s != t)).toSet
+  }
+
+  /** Bron–Kerbosch over immutable `Set[Int]` on the complement of `adj`
+    * (maximal independent sets of G = maximal cliques of its complement),
+    * with the pivot maximizing complement-neighbours in P: an independent
+    * engine that the word-level `MaxIndependentSets` is compared against on
+    * graphs too large for [[maxIndependentSets]].
+    */
+  def bronKerbosch(n: Int, adj: Array[Array[Boolean]], limit: Int, deadline: Deadline)(
+      emit: Set[Int] => Unit): Unit = {
+    if (n == 0) return
+    // complement adjacency: clique in cAdj == independent set in adj
+    val cAdj = Array.tabulate(n, n)((i, j) => i != j && !adj(i)(j))
+    var emitted = 0
+
+    // Bron–Kerbosch on an explicit stack of (R, P, X, vertices left to branch on):
+    // recursion is as deep as the largest set and overflows on thousands of MVDs.
+    val stack = mutable.Stack.empty[(Set[Int], Set[Int], Set[Int], List[Int])]
+    def push(r: Set[Int], p: Set[Int], x: Set[Int]): Unit =
+      if (p.isEmpty && x.isEmpty) {
+        emitted += 1
+        emit(r)
+      } else {
+        // pivot: vertex of P ∪ X maximizing complement-neighbors in P
+        val pivot = (p ++ x).maxBy(u => p.count(cAdj(u)))
+        stack.push((r, p, x, p.toList.filter(v => !cAdj(pivot)(v))))
+      }
+
+    push(Set.empty, (0 until n).toSet, Set.empty)
+    while (stack.nonEmpty && emitted < limit && !deadline.exceeded) {
+      stack.pop() match {
+        case (_, _, _, Nil) =>
+        case (r, p, x, v :: rest) =>
+          stack.push((r, p - v, x + v, rest))
+          val nv = (0 until n).filter(cAdj(v)).toSet
+          push(r + v, p.filter(nv), x.filter(nv))
+      }
+    }
   }
 
   /** Acyclicity via GYO ear reduction, to cross-validate

@@ -34,6 +34,22 @@ object TestData {
 
   def calcOf(rel: EncodedRelation): InfoCalc = new InfoCalc(new LocalEntropyOracle(rel))
 
+  /** A random MVD over attributes `0 until nAttrs` (`nAttrs` ≥ 2): a random
+    * key without attributes 0 and 1, and the rest split among up to
+    * `maxDeps` dependents, 0 and 1 in different ones.
+    */
+  def randomMvd(rnd: Random, nAttrs: Int, maxDeps: Int = 3): Mvd = {
+    val key = AttrSet(rnd.nextLong() & rnd.nextLong() & AttrSet.range(nAttrs).bits & ~3L)
+    val deps = Array.fill(maxDeps)(AttrSet.empty)
+    deps(0) = AttrSet.single(0)
+    deps(1) = AttrSet.single(1)
+    for (a <- 2 until nAttrs if !key.contains(a)) {
+      val d = rnd.nextInt(maxDeps)
+      deps(d) = deps(d) + a
+    }
+    Mvd.of(key, deps.toVector)
+  }
+
   /** All set partitions of the elements of `s` (Bell-number many — tests
     * keep |s| ≤ 6).
     */

@@ -1,9 +1,11 @@
 package repro.core.schema
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 import repro.core.{AttrSet, JoinTree, Mvd, TestData}
 import repro.core.mine.MvdMiner
 import repro.data.RunningExample
+import repro.util.Deadline
 
 class ASMinerSpec extends AnyFunSuite {
 
@@ -80,5 +82,31 @@ class ASMinerSpec extends AnyFunSuite {
         assert(Compatibility.compatible(p, q))
       }
     }
+  }
+
+  test("the deadline is checked while the incompatibility graph is built") {
+    val rnd = new Random(41)
+    val mvds = Vector.fill(6000)(TestData.randomMvd(rnd, 12))
+    val calc = TestData.calcOf(TestData.randomRelation(12, 20, 2, 1))
+    val t0 = System.nanoTime()
+    val res = ASMiner.mine(calc, mvds, AttrSet.range(12), timeLimitMs = 0L)
+    val ms = (System.nanoTime() - t0) / 1000000L
+    assert(res.timedOut && res.schemes.isEmpty && res.mis == 0)
+    // the limit must cut the graph build itself, not only the enumeration after it
+    assert(ms < 1000L, s"a 0 ms limit returned after $ms ms")
+    assert(ASMiner.incompatibilityGraph(mvds, Deadline.ofMs(0L)).isEmpty)
+  }
+
+  test("the result counts the maximal independent sets it enumerated") {
+    val calc = TestData.calcOf(RunningExample.cleanEncoded)
+    val mined = MvdMiner.mine(calc, 6, eps = 0.0)
+    val res = ASMiner.mine(calc, mined.mvds, AttrSet.range(6))
+    var family = 0
+    MaxIndependentSets.enumerate(mined.mvds.size,
+      Array.tabulate(mined.mvds.size, mined.mvds.size)((i, j) =>
+        Compatibility.incompatible(mined.mvds(i), mined.mvds(j))),
+      Int.MaxValue, Deadline.unlimited)(_ => family += 1)
+    assert(res.mis == family && res.mis >= res.schemes.size)
+    assert(res.graphMs >= 0L && res.enumMs >= 0L && res.graphMs + res.enumMs <= res.elapsedMs)
   }
 }

@@ -2,7 +2,7 @@ package repro.core.schema
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{AttrSet, JoinTree, Mvd}
+import repro.core.{AttrSet, JoinTree, Mvd, Reference, TestData}
 import repro.data.RunningExample
 
 class CompatibilitySpec extends AnyFunSuite {
@@ -98,5 +98,20 @@ class CompatibilitySpec extends AnyFunSuite {
     val p = Mvd.of(AttrSet.of(0), Vector(AttrSet.of(1), AttrSet.of(2, 3)))
     val q = Mvd.of(AttrSet.of(1, 2), Vector(AttrSet.of(0), AttrSet.of(3)))
     assert(Compatibility.incompatible(p, q))
+  }
+
+  test("agrees with the AttrSet rendering of Def. 7.1 on random MVD pairs") {
+    val rnd = new Random(37)
+    var incompatible = 0
+    for (_ <- 0 until 5000) {
+      val n = 2 + rnd.nextInt(8)
+      val p = TestData.randomMvd(rnd, n)
+      val q = TestData.randomMvd(rnd, n)
+      val exp = Reference.compatible(p, q)
+      assert(Compatibility.compatible(p, q) == exp, s"$p vs $q")
+      assert(Compatibility.incompatible(p, q) == !exp, s"$p vs $q")
+      if (!exp) incompatible += 1
+    }
+    assert(incompatible > 500 && incompatible < 4500, s"$incompatible of 5000 incompatible")
   }
 }

@@ -16,6 +16,25 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
 
   private def emptyGraph(n: Int) = Array.fill(n, n)(false)
 
+  /** Each pair is an edge with probability `p`. */
+  private def randomGraph(n: Int, p: Double, rnd: Random): Array[Array[Boolean]] = {
+    val adj = emptyGraph(n)
+    for { i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < p } {
+      adj(i)(j) = true; adj(j)(i) = true
+    }
+    adj
+  }
+
+  /** Every emission, in order. */
+  private def emissions(n: Int, adj: Array[Array[Boolean]], limit: Int): Vector[Set[Int]] = {
+    val out = Vector.newBuilder[Set[Int]]
+    MaxIndependentSets.enumerate(n, adj, limit, Deadline.unlimited)(out += _)
+    out.result()
+  }
+
+  /** Edge probabilities for `n` vertices: about 6 edges, then 80 % and 95 % of all pairs. */
+  private def densities(n: Int): Seq[Double] = Seq(12.0 / (n * (n - 1)), 0.8, 0.95)
+
   test("empty graph: the single MIS is the full vertex set") {
     assert(collect(4, emptyGraph(4)) == Set(Set(0, 1, 2, 3)))
     // one Bron–Kerbosch level per vertex: recursion that deep overflowed the stack
@@ -77,6 +96,35 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
         for { i <- s; j <- s if i != j } assert(!adj(i)(j))
         for (v <- 0 until n if !s.contains(v)) {
           assert(s.exists(u => adj(u)(v)), s"$s not maximal: $v addable")
+        }
+      }
+    }
+  }
+
+  test("graphs of one to four words: same family as the Set-based Bron–Kerbosch") {
+    val rnd = new Random(23)
+    for { n <- Seq(63, 64, 65, 127, 128, 129, 200); p <- densities(n) } {
+      val adj = randomGraph(n, p, rnd)
+      val got = emissions(n, adj, Int.MaxValue)
+      val exp = Set.newBuilder[Set[Int]]
+      Reference.bronKerbosch(n, adj, Int.MaxValue, Deadline.unlimited)(exp += _)
+      val expected = exp.result()
+      assert(got.distinct.size == got.size, s"n=$n p=$p: a set was emitted twice")
+      assert(got.toSet == expected, s"n=$n p=$p")
+    }
+  }
+
+  test("a limit below the total emits exactly that many distinct maximal independent sets") {
+    val rnd = new Random(29)
+    for (n <- Seq(65, 129)) {
+      val adj = randomGraph(n, 0.8, rnd)
+      val total = emissions(n, adj, Int.MaxValue).size
+      for (limit <- Seq(1, 7, total / 2, total - 1)) {
+        val got = emissions(n, adj, limit)
+        assert(got.size == limit && got.distinct.size == limit, s"n=$n limit=$limit of $total")
+        got.foreach { s =>
+          for { i <- s; j <- s if i != j } assert(!adj(i)(j))
+          for (v <- 0 until n if !s.contains(v)) assert(s.exists(u => adj(u)(v)), s"$s + $v")
         }
       }
     }

@@ -64,6 +64,9 @@ class ExperimentsSpec extends SparkSpec {
                                    epss = Seq(0.0, 0.5))
     assert(rows.size == 2)
     assert(Experiments.formatQuality(rows).contains("bridges"))
+    // each distinct multi-relation scheme comes from at least one emitted MIS
+    assert(rows.forall(r => r.mis >= r.nSchemes), rows.mkString("\n"))
+    assert(Experiments.formatQuality(rows).contains("#MIS"))
   }
 
   test("markPareto marks non-dominated schemes only") {
