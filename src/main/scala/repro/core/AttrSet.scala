@@ -39,8 +39,6 @@ final case class AttrSet(bits: Long) extends AnyVal {
     out.result()
   }
 
-  def iterator: Iterator[Int] = toSeq.iterator
-
   /** Render with per-attribute names, e.g. `{A,B,D}`. */
   def render(names: Seq[String]): String =
     toSeq.map(names(_)).mkString("{", ",", "}")

@@ -13,10 +13,10 @@ import repro.core.schema.ASMiner
   */
 object Maimon {
 
+  /** `timeLimitMs` limits each phase, mining and scheme enumeration, on its own. */
   final case class Config(
       eps: Double,
-      mineTimeLimitMs: Long = 60000L,
-      schemaTimeLimitMs: Long = 30000L,
+      timeLimitMs: Long = 60000L,
       maxSchemes: Int = 10000,
   )
 
@@ -39,9 +39,9 @@ object Maimon {
     val n = names.size
     require(n >= 1, s"Maimon needs a relation with at least one column, got $n columns")
     val calc = new InfoCalc(oracle)
-    val mining = MvdMiner.mine(calc, n, cfg.eps, cfg.mineTimeLimitMs)
+    val mining = MvdMiner.mine(calc, n, cfg.eps, cfg.timeLimitMs)
     val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(n),
-                               cfg.maxSchemes, cfg.schemaTimeLimitMs)
+                               cfg.maxSchemes, cfg.timeLimitMs)
     Result(names, oracle.nRows, mining, schemes)
   }
 }

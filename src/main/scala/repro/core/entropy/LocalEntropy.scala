@@ -20,29 +20,30 @@ object EncodedRelation {
 
   /** Collect and dictionary-encode a DataFrame (null becomes its own code). */
   def fromDataFrame(df: DataFrame): EncodedRelation = {
-    val names = df.columns.toVector
-    val collected = df.collect()
-    val dicts = Array.fill(names.size)(new mutable.HashMap[Any, Int]())
-    val rows = collected.map { r =>
-      Array.tabulate(names.size) { c =>
-        val v: Any = if (r.isNullAt(c)) EncodedRelation.NullToken else r.get(c)
-        val d = dicts(c)
-        d.getOrElseUpdate(v, d.size)
-      }
+    val rows = df.collect()
+    encode(df.columns.toVector, rows.length) { (r, c) =>
+      if (rows(r).isNullAt(c)) NullToken else rows(r).get(c)
     }
-    EncodedRelation(names, rows)
   }
 
   /** Build from in-memory tuples (tests, running example). */
   def fromTuples(names: Vector[String], tuples: Seq[Seq[Any]]): EncodedRelation = {
+    val ts = tuples.toIndexedSeq
+    require(ts.forall(_.size == names.size), "tuple arity mismatch")
+    encode(names, ts.size)((r, c) => ts(r)(c))
+  }
+
+  /** Code each column's values in order of first appearance, reading the
+    * rows in order and each row column by column.
+    */
+  private def encode(names: Vector[String], nRows: Int)(value: (Int, Int) => Any): EncodedRelation = {
     val dicts = Array.fill(names.size)(new mutable.HashMap[Any, Int]())
-    val rows = tuples.map { t =>
-      require(t.size == names.size, "tuple arity mismatch")
+    val rows = Array.tabulate(nRows) { r =>
       Array.tabulate(names.size) { c =>
         val d = dicts(c)
-        d.getOrElseUpdate(t(c), d.size)
+        d.getOrElseUpdate(value(r, c), d.size)
       }
-    }.toArray
+    }
     EncodedRelation(names, rows)
   }
 
@@ -62,11 +63,12 @@ object EncodedRelation {
   * TID-join). It splits the clusters of α with A's column of codes as the
   * probe table, in time linear in the stripped rows of α, not in N.
   *
-  * On a memo miss for α, the oracle probes the cache for α − {A}, for each
-  * A ∈ α, and intersects the hit with the fewest stripped rows with column
-  * A. Only when none is cached does it scan the cache for the cached strict
-  * subset with the fewest stripped rows and intersect the remaining columns
-  * into it. Multi-column partitions are cached LRU, at most
+  * On a memo miss for α, the oracle takes α's partition from the cache if
+  * it is there. Otherwise it builds it one column at a time, as TANE does:
+  * it intersects column A into the cached α − {A} with the fewest stripped
+  * rows, and when no α − {A} is cached, it first builds α − {A*} by the
+  * same rule, A* the column of α with the most stripped rows. Every
+  * multi-column partition built this way is cached LRU, at most
   * `partitionCacheCap` of them; single columns are kept aside. Entropies
   * are memoized without bound in a primitive open-addressing table.
   *
@@ -144,21 +146,25 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
     else EntropyOracle.fromGroupSizes(nRows, partition(x).sumClog2C)
   }
 
-  /** Partition for α, one intersection away from the cached α − {A} with
-    * the fewest stripped rows when there is one.
+  /** Partition for α by the lookup rule of the class doc. `best` is the
+    * cached α − {A} with the fewest stripped rows, `widest` the A* to build
+    * on when there is none.
     */
   private def partition(x: AttrSet): Pli = {
-    if (x.size == 1) return singles(x.head)
+    val own = cached(x)
+    if (own != null) return own
     var best: Pli = null
     var bestAttr = -1
+    var widest = -1
     var rest = x.bits
     while (rest != 0L) {
       val a = java.lang.Long.numberOfTrailingZeros(rest)
       rest &= rest - 1
       val p = cached(x - a)
       if (p != null && (best == null || p.size < best.size)) { best = p; bestAttr = a }
+      if (widest < 0 || singles(a).size > singles(widest).size) widest = a
     }
-    val p = if (best != null) intersect(best, bestAttr) else fromCachedSubset(x)
+    val p = if (best != null) intersect(best, bestAttr) else intersect(partition(x - widest), widest)
     partCache.put(x.bits, p)
     p
   }
@@ -171,50 +177,6 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
       if (p != null) cacheHitCount += 1
       p
     }
-
-  /** Start from the cached strict subset of `x`, single columns included,
-    * with the fewest stripped rows (the most columns on a tie), found by a
-    * scan of the cache. Intersect the remaining columns into it, those with
-    * the fewest stripped rows first, and cache each step: the next miss
-    * nearby then finds a subset one column away.
-    */
-  private def fromCachedSubset(x: AttrSet): Pli = {
-    val first = smallestColumn(x.bits)
-    var start = singles(first)
-    var startBits = 1L << first
-    val it = partCache.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      val ks = AttrSet(e.getKey)
-      val p = e.getValue
-      if (ks.strictSubsetOf(x) &&
-          (p.size < start.size || (p.size == start.size && ks.size > AttrSet(startBits).size))) {
-        start = p
-        startBits = ks.bits
-      }
-    }
-    var acc = cached(AttrSet(startBits))
-    var accBits = startBits
-    while (accBits != x.bits) {
-      val c = smallestColumn(x.bits & ~accBits)
-      acc = intersect(acc, c)
-      accBits |= 1L << c
-      if (accBits != x.bits) partCache.put(accBits, acc)
-    }
-    acc
-  }
-
-  /** The column in `bits` whose partition has the fewest stripped rows. */
-  private def smallestColumn(bits: Long): Int = {
-    var best = -1
-    var rest = bits
-    while (rest != 0L) {
-      val c = java.lang.Long.numberOfTrailingZeros(rest)
-      rest &= rest - 1
-      if (best < 0 || singles(c).size < singles(best).size) best = c
-    }
-    best
-  }
 
   /** Intersect stripped partition `a` with column `c`: split every cluster
     * of `a` by its rows' codes in `c`, which serve as the probe table.

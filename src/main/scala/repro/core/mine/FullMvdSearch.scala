@@ -29,13 +29,13 @@ object FullMvdSearch {
     require(!key.contains(a) && !key.contains(b), "key must not contain the pair")
     require(omega.contains(a) && omega.contains(b), "pair must be in omega")
     val out = mutable.ArrayBuffer.empty[Mvd]
-    val visited = mutable.HashSet.empty[Vector[Long]]
+    val visited = mutable.HashSet.empty[Mvd]
     val stack = mutable.Stack.empty[Mvd]
 
     val finest = Mvd.finest(key, omega)
     pairwiseConsistent(calc, finest, eps, a, b, deadline) match {
       case None      => return Vector.empty
-      case Some(phi) => if (visited.add(canon(phi))) stack.push(phi)
+      case Some(phi) => if (visited.add(phi)) stack.push(phi)
     }
 
     while (stack.nonEmpty && out.size < k && !deadline.exceeded) {
@@ -55,7 +55,7 @@ object FullMvdSearch {
               (di.contains(a) && dj.contains(b)) || (di.contains(b) && dj.contains(a))
             if (!joinsPair) {
               pairwiseConsistent(calc, phi.merge(i, j), eps, a, b, deadline).foreach { psi =>
-                if (visited.add(canon(psi))) stack.push(psi)
+                if (visited.add(psi)) stack.push(psi)
               }
             }
             j += 1
@@ -65,7 +65,7 @@ object FullMvdSearch {
       }
     }
 
-    if (k == Int.MaxValue) minimizeFull(out.toVector) else out.toVector
+    if (k == Int.MaxValue) minimizeFull(out.toVector, deadline) else out.toVector
   }
 
   /** Fig. 16: repeatedly merge a dependent pair with `I(Ci;Cj|S) > ε`;
@@ -107,10 +107,10 @@ object FullMvdSearch {
   /** Keep only MVDs not strictly refined by another discovered MVD. Together
     * with the DFS this yields exactly the brute-force full set (if ψ holds
     * and refines φ, the DFS reaches some holding ρ refining ψ through
-    * all-failing chains, and ρ then eliminates φ).
+    * all-failing chains, and ρ then eliminates φ). The deadline is checked
+    * once per MVD; when it fires, only the MVDs already confirmed are kept.
     */
-  def minimizeFull(mvds: Vector[Mvd]): Vector[Mvd] =
-    mvds.distinct.filter(phi => !mvds.exists(psi => psi.strictlyRefines(phi)))
-
-  private def canon(m: Mvd): Vector[Long] = m.deps.map(_.bits)
+  def minimizeFull(mvds: Vector[Mvd], deadline: Deadline): Vector[Mvd] =
+    mvds.distinct.iterator.takeWhile(_ => !deadline.exceeded)
+      .filter(phi => !mvds.exists(psi => psi.strictlyRefines(phi))).toVector
 }

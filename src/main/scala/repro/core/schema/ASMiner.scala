@@ -29,11 +29,6 @@ object ASMiner {
            maxSchemes: Int = Int.MaxValue, timeLimitMs: Long = -1L): Result = {
     val start = System.nanoTime()
     val deadline = Deadline.ofMs(timeLimitMs)
-    if (mvds.isEmpty)
-      return Result(Vector(Scored(Schema.of(Vector(omega)), 0.0, Vector.empty)),
-                    timedOut = false, capped = false, elapsedMs = 0L, mis = 0,
-                    graphMs = 0L, enumMs = 0L)
-
     val graph = incompatibilityGraph(mvds, deadline)
     val built = System.nanoTime()
     val graphMs = (built - start) / 1000000L
@@ -41,15 +36,14 @@ object ASMiner {
       return Result(Vector.empty, timedOut = true, capped = false, elapsedMs = graphMs, mis = 0,
                     graphMs = graphMs, enumMs = 0L)
 
-    val seen = mutable.HashSet.empty[Vector[Long]]
+    val seen = mutable.HashSet.empty[Schema]
     val out = Vector.newBuilder[Scored]
     var mis = 0
     MaxIndependentSets.enumerateBitsets(mvds.size, graph.get, maxSchemes, deadline) { q =>
       mis += 1
       val support = q.toVector.map(mvds)
       val schema = SchemaSynthesis.build(support, omega)
-      val key = schema.bags.map(_.bits)
-      if (seen.add(key)) {
+      if (seen.add(schema)) {
         // the schema synthesized from compatible MVDs is acyclic (Thm 7.4);
         // guard anyway so a single bad set cannot kill the enumeration.
         JoinTree.fromSchema(schema).foreach { t =>

@@ -37,11 +37,11 @@ object MaxIndependentSets {
     * is the u ∈ P ∪ X with the most candidates outside its closed
     * neighbourhood N[u], ties to the lowest index. Every maximal set that
     * extends R contains a vertex of P ∩ N[u], so the frame branches on those
-    * in ascending order.
+    * in ascending order. The graph with no vertices has one maximal
+    * independent set, ∅.
     */
   def enumerateBitsets(n: Int, adj: Array[Array[Long]], limit: Int, deadline: Deadline)(
       emit: Array[Int] => Unit): Unit = {
-    if (n == 0) return
     val w = words(n)
     // per depth: candidates, excluded, and the vertices still to branch on
     val p, x, branch = ArrayBuffer.empty[Array[Long]]

@@ -27,9 +27,6 @@ object NurseryData {
     "health"   -> Vector("recommended", "priority", "not_recom"),
   )
 
-  val classValues: Vector[String] =
-    Vector("not_recom", "recommend", "very_recom", "priority", "spec_prior")
-
   val nRows: Long = domains.map(_._2.size.toLong).product // 12960
 
   /** The first `min(rowCap, nRows)` rows of the product. */

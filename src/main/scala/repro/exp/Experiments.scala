@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
-import repro.core.{JoinTree, Maimon}
+import repro.core.{JoinTree, Maimon, Schema}
 import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
 import repro.core.info.InfoCalc
 import repro.core.mine.MvdMiner
@@ -86,7 +86,7 @@ object Experiments {
                             timeLimitMs: Long): Seq[(Double, ASMiner.Result)] = {
     val oracle = new LocalEntropyOracle(rel)
     epss.map { eps =>
-      val cfg = Maimon.Config(eps, timeLimitMs, timeLimitMs, maxSchemes = 2000)
+      val cfg = Maimon.Config(eps, timeLimitMs, maxSchemes = 2000)
       eps -> Maimon.runWithOracle(oracle, rel.names, cfg).schemes
     }
   }
@@ -111,19 +111,19 @@ object Experiments {
     */
   private def schemesWithQuality(rel: EncodedRelation, thresholds: Seq[Double],
                                  maxScored: Int, timeLimitMs: Long): Vector[SchemeRow] = {
-    val seen = scala.collection.mutable.HashSet.empty[Vector[Long]]
+    val seen = scala.collection.mutable.HashSet.empty[Schema]
     val picked = Vector.newBuilder[(Double, ASMiner.Scored)]
     // spread the quality-scoring budget across thresholds so the
     // reported schemes span the J range like the paper's Fig. 10/11
     val perEps = math.max(1, maxScored / math.max(1, thresholds.size))
     for ((eps, res) <- schemesPerEps(rel, thresholds, timeLimitMs)) {
       val fresh = res.schemes.sortBy(_.j)
-        .filter(s => s.schema.nRelations > 1 && !seen.contains(s.schema.bags.map(_.bits)))
+        .filter(s => s.schema.nRelations > 1 && !seen.contains(s.schema))
       // evenly-spaced picks across the J range, so the scored sample spans
       // low-J (near-exact) through high-J schemes like the paper's Fig. 11
       val step = math.max(1, fresh.size / math.max(1, perEps))
       for (s <- fresh.indices.by(step).take(perEps).map(fresh)) {
-        if (seen.add(s.schema.bags.map(_.bits))) picked += ((eps, s))
+        if (seen.add(s.schema)) picked += ((eps, s))
       }
     }
     val rows = picked.result().map { case (eps, s) =>

@@ -15,7 +15,7 @@ class MaimonPlantedSpec extends SparkSpec {
 
   test("eps=0 on clean planted data finds the FD-induced MVDs") {
     val df = PlantedData.generate(spark, spec, targetRows = 240, seed = 42)
-    val res = Maimon.run(df, Maimon.Config(eps = 0.0, mineTimeLimitMs = 60000L))
+    val res = Maimon.run(df, Maimon.Config(eps = 0.0, timeLimitMs = 60000L))
     assert(!res.mining.timedOut)
     assert(res.mvds.nonEmpty, "FD b0a0→b0a1 guarantees exact MVDs exist")
     // and all reported schemes are exact
@@ -24,7 +24,7 @@ class MaimonPlantedSpec extends SparkSpec {
 
   test("moderate eps rediscovers a key-rooted decomposition") {
     val df = PlantedData.generate(spark, spec, targetRows = 240, seed = 43)
-    val res = Maimon.run(df, Maimon.Config(eps = 0.3, mineTimeLimitMs = 60000L))
+    val res = Maimon.run(df, Maimon.Config(eps = 0.3, timeLimitMs = 60000L))
     // some mined MVD should have a key contained in {k0} ∪ one branch head —
     // the planted separator structure
     assert(res.mvds.nonEmpty)
@@ -35,8 +35,8 @@ class MaimonPlantedSpec extends SparkSpec {
   test("noisy planted data yields no exact schemes but approximate ones") {
     val noisy = spec.copy(noiseFrac = 0.15)
     val df = PlantedData.generate(spark, noisy, targetRows = 240, seed = 44)
-    val exact = Maimon.run(df, Maimon.Config(eps = 0.0, mineTimeLimitMs = 60000L))
-    val approx = Maimon.run(df, Maimon.Config(eps = 1.0, mineTimeLimitMs = 60000L))
+    val exact = Maimon.run(df, Maimon.Config(eps = 0.0, timeLimitMs = 60000L))
+    val approx = Maimon.run(df, Maimon.Config(eps = 1.0, timeLimitMs = 60000L))
     val exactMulti = exact.schemes.schemes.count(_.schema.nRelations > 1)
     val approxMulti = approx.schemes.schemes.count(_.schema.nRelations > 1)
     assert(approxMulti >= exactMulti,

@@ -50,14 +50,14 @@ class MaimonSpec extends SparkSpec {
 
   test("nursery at eps=0 admits no exact multi-relation decomposition (Fig 10a)") {
     val res = Maimon.run(NurseryData.load(spark),
-      Maimon.Config(eps = 0.0, mineTimeLimitMs = 120000L))
+      Maimon.Config(eps = 0.0, timeLimitMs = 120000L))
     val multi = res.schemes.schemes.filter(_.schema.nRelations > 1)
     assert(multi.isEmpty, s"unexpected exact schemes: ${multi.map(_.schema)}")
   }
 
   test("nursery at eps=0.3 finds multi-relation approximate schemes (Fig 10)") {
     val res = Maimon.run(NurseryData.load(spark),
-      Maimon.Config(eps = 0.3, mineTimeLimitMs = 180000L, maxSchemes = 200))
+      Maimon.Config(eps = 0.3, timeLimitMs = 180000L, maxSchemes = 200))
     val multi = res.schemes.schemes.filter(_.schema.nRelations > 1)
     assert(multi.nonEmpty)
     // and they decompose: some scheme has ≥ 2 relations with width < 9
@@ -66,7 +66,7 @@ class MaimonSpec extends SparkSpec {
 
   test("nursery approximate scheme has bounded spurious rate and real savings") {
     val df = NurseryData.load(spark).cache()
-    val res = Maimon.run(df, Maimon.Config(eps = 0.3, mineTimeLimitMs = 180000L, maxSchemes = 50))
+    val res = Maimon.run(df, Maimon.Config(eps = 0.3, timeLimitMs = 180000L, maxSchemes = 50))
     val multi = res.schemes.schemes.filter(_.schema.nRelations > 1).sortBy(_.j)
     assert(multi.nonEmpty)
     val s = multi.head

@@ -185,6 +185,21 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
     assert(o.partitionIntersections == 2 && o.partitionCacheHits == 1)
   }
 
+  test("a partition cached on the way to a larger one is reused without an intersection") {
+    // stripped rows per column: 8, 12, 20, 24 (a value unique past row k is stripped)
+    val n = 24
+    def col(k: Int, mod: Int)(r: Int): Int = if (r < k) r % mod else r
+    val rel = EncodedRelation(Vector("A", "B", "C", "D"),
+      Array.tabulate(n)(r => Array(col(8, 4)(r), col(12, 3)(r), col(20, 2)(r), 0)))
+    val o = new LocalEntropyOracle(rel)
+    // no 3-subset of Ω is cached, so Ω is built on {A,B,C}, built on {A,B}
+    o.entropy(AttrSet.range(4))
+    assert(o.partitionIntersections == 3 && o.partitionCacheHits == 0)
+    val h = o.entropy(AttrSet.of(0, 1, 2))
+    assert(o.partitionIntersections == 3 && o.partitionCacheHits == 1)
+    assert(math.abs(h - NaiveEntropy.entropy(rel, AttrSet.of(0, 1, 2))) < 1e-12)
+  }
+
   test("more than 64 columns is rejected, naming the AttrSet limit") {
     val rel = EncodedRelation(Vector.tabulate(65)(i => s"C$i"), Array(Array.fill(65)(0)))
     val e = intercept[IllegalArgumentException](new LocalEntropyOracle(rel))

@@ -110,8 +110,27 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val key = AttrSet.of(0)
     val fine = Mvd.of(key, Vector(AttrSet.of(1), AttrSet.of(2), AttrSet.of(3)))
     val coarse = Mvd.of(key, Vector(AttrSet.of(1, 2), AttrSet.of(3)))
-    assert(FullMvdSearch.minimizeFull(Vector(fine, coarse)) == Vector(fine))
-    assert(FullMvdSearch.minimizeFull(Vector(coarse)) == Vector(coarse))
+    assert(FullMvdSearch.minimizeFull(Vector(fine, coarse), Deadline.unlimited) == Vector(fine))
+    assert(FullMvdSearch.minimizeFull(Vector(coarse), Deadline.unlimited) == Vector(coarse))
+  }
+
+  test("minimizeFull stops at the deadline and keeps only confirmed full MVDs") {
+    // 20 000 distinct MVDs with key {0}: random partitions of 1..12
+    val rnd = new Random(17)
+    val key = AttrSet.of(0)
+    val distinct = scala.collection.mutable.LinkedHashSet.empty[Mvd]
+    while (distinct.size < 20000) {
+      val deps = Array.fill(6)(AttrSet.empty)
+      for (a <- 1 to 12) { val d = rnd.nextInt(6); deps(d) = deps(d) + a }
+      if (deps.count(_.nonEmpty) >= 2) distinct += Mvd.of(key, deps.toVector)
+    }
+    val mvds = distinct.toVector
+    for (limitMs <- Seq(0L, 100L)) {
+      val deadline = Deadline.ofMs(limitMs)
+      val got = FullMvdSearch.minimizeFull(mvds, deadline)
+      assert(deadline.elapsedMs < 1000, s"limit $limitMs ms: returned after ${deadline.elapsedMs} ms")
+      for (phi <- got) assert(!mvds.exists(_.strictlyRefines(phi)), s"$phi is refined")
+    }
   }
 
   test("deadline aborts the search gracefully") {
@@ -121,6 +140,6 @@ class FullMvdSearchSpec extends AnyFunSuite {
     Thread.sleep(5)
     val got = FullMvdSearch.fullMvds(calc, AttrSet.range(8), AttrSet.empty,
                                      0.0, 0, 1, Int.MaxValue, fired)
-    assert(got.isEmpty || got.nonEmpty) // no hang, no throw
+    assert(got.isEmpty) // the DFS pops no node once the deadline has fired
   }
 }

@@ -54,6 +54,7 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
   }
 
   test("matches brute force on random graphs") {
+    assert(collect(0, emptyGraph(0)) == Reference.maxIndependentSets(0, emptyGraph(0)))
     val rnd = new Random(17)
     for (trial <- 0 until 150) {
       val n = 2 + rnd.nextInt(7)
@@ -80,8 +81,8 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
     }
   }
 
-  test("zero vertices emits nothing") {
-    assert(collect(0, emptyGraph(0)).isEmpty)
+  test("zero vertices: the empty set is the one maximal independent set") {
+    assert(emissions(0, emptyGraph(0), Int.MaxValue) == Vector(Set.empty[Int]))
   }
 
   test("every emitted set is independent and maximal") {
