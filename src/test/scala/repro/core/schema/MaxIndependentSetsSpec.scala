@@ -81,7 +81,7 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
     }
   }
 
-  test("zero vertices: the empty set is the one maximal independent set") {
+  test("zero vertices: the empty set is the one MIS") {
     assert(emissions(0, emptyGraph(0), Int.MaxValue) == Vector(Set.empty[Int]))
   }
 
