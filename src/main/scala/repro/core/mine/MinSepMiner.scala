@@ -1,9 +1,8 @@
 package repro.core.mine
 
 import scala.collection.mutable
-import repro.core.{AttrSet, Mvd}
+import repro.core.AttrSet
 import repro.core.info.InfoCalc
-import repro.util.Deadline
 
 /** MineMinSeps + ReduceMinSep (paper Fig. 4/5): enumerate all minimal
   * A,B-separators of R at threshold ε.
@@ -12,13 +11,14 @@ import repro.util.Deadline
   * and B in distinct dependents. By Thm 6.1 a new minimal separator exists
   * iff some minimal transversal D of the discovered family C has a
   * separating complement; we iterate minimal transversals of the growing
-  * family until none is left unprocessed.
+  * family until none is left unprocessed. Every probe goes through the
+  * shared search `lattice`, which fixes Ω, ε and the deadline.
   */
-final class MinSepMiner(calc: InfoCalc, omega: AttrSet, eps: Double, deadline: Deadline) {
+class MinSepMiner(lattice: MvdLattice) {
+  import lattice.{calc, deadline, eps, omega}
 
   /** Existence probe: does some ε-MVD with key `x` separate a,b? */
-  def separates(x: AttrSet, a: Int, b: Int): Boolean =
-    FullMvdSearch.fullMvds(calc, omega, x, eps, a, b, k = 1, deadline).nonEmpty
+  def separates(x: AttrSet, a: Int, b: Int): Boolean = lattice.separates(x, a, b)
 
   /** ReduceMinSep (Fig. 4): greedily shrink a separator to a minimal one,
     * scanning attributes in the fixed ascending-index order `p` (the

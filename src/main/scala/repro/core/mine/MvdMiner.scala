@@ -7,7 +7,8 @@ import repro.util.Deadline
 
 /** MVDMiner (paper Fig. 3): for every attribute pair (A,B), mine the minimal
   * A,B-separators, then for each separator X the full ε-MVDs with key X that
-  * separate A,B; return their union M_ε (Eq. 11).
+  * separate A,B; return their union M_ε (Eq. 11). Every probe and expansion
+  * of one `mine` call searches one shared [[MvdLattice]].
   */
 object MvdMiner {
 
@@ -16,6 +17,8 @@ object MvdMiner {
     * @param timedOut    whether the wall-clock budget fired (results partial)
     * @param elapsedMs   total mining wall time
     * @param entropyCalls / entropyComputations: oracle traffic for the benches
+    * @param searchNodes distinct closed nodes of the search lattice
+    * @param closures    Fig. 16 merge loops run (closures computed)
     */
   final case class Result(
       mvds: Vector[Mvd],
@@ -24,6 +27,8 @@ object MvdMiner {
       elapsedMs: Long,
       entropyCalls: Long,
       entropyComputations: Long,
+      searchNodes: Int,
+      closures: Long,
   ) {
     def distinctMinSeps: Vector[AttrSet] =
       minSeps.valuesIterator.flatten.toVector.distinct
@@ -40,7 +45,8 @@ object MvdMiner {
     val start = System.nanoTime()
     val deadline = Deadline.ofMs(timeLimitMs)
     val omega = AttrSet.range(n)
-    val miner = new MinSepMiner(calc, omega, eps, deadline)
+    val lattice = new MvdLattice(calc, omega, eps, deadline)
+    val miner = new MinSepMiner(lattice)
     val mvds = mutable.LinkedHashSet.empty[Mvd]
     val minSeps = mutable.LinkedHashMap.empty[(Int, Int), Vector[AttrSet]]
 
@@ -55,9 +61,7 @@ object MvdMiner {
         if (seps.nonEmpty) minSeps((a, b)) = seps
         if (!minSepsOnly) {
           for (x <- seps if !deadline.exceeded) {
-            FullMvdSearch
-              .fullMvds(calc, omega, x, eps, a, b, k = Int.MaxValue, deadline)
-              .foreach(mvds += _)
+            lattice.fullMvds(x, a, b, k = Int.MaxValue).foreach(mvds += _)
           }
         }
         b += 1
@@ -72,6 +76,8 @@ object MvdMiner {
       elapsedMs = (System.nanoTime() - start) / 1000000L,
       entropyCalls = calc.oracle.calls - callsBefore,
       entropyComputations = calc.oracle.computations - compsBefore,
+      searchNodes = lattice.nodes,
+      closures = lattice.closures,
     )
   }
 }

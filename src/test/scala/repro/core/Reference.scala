@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 import repro.core.info.InfoCalc
+import repro.core.mine.{MinSepMiner, MvdLattice}
 import repro.util.Deadline
 
 /** Reference implementations that the tests compare the program against:
@@ -28,6 +29,78 @@ object Reference {
     val separating = AttrSet.subsetsOf(ground).filter(seps2).toVector
     // minimal: no strict subset separates
     separating.filter(x => !separating.exists(y => y.strictSubsetOf(x)))
+  }
+
+  /** `getFullMVDs` (Fig. 6/16/17) as one self-contained search per call: the
+    * per-pair DFS that the shared `MvdLattice` replaced, with its own
+    * visited set and Fig. 16 loop. At most `k` ε-MVDs with key `key`
+    * separating `a`,`b`, in discovery order; minimized when `k` is unbounded.
+    */
+  def fullMvds(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
+               a: Int, b: Int, k: Int): Vector[Mvd] = {
+    val out = mutable.ArrayBuffer.empty[Mvd]
+    val visited = mutable.HashSet.empty[Mvd]
+    val stack = mutable.Stack.empty[Mvd]
+    pairwiseConsistent(calc, Mvd.finest(key, omega), eps, a, b)
+      .foreach { phi => visited += phi; stack.push(phi) }
+    while (stack.nonEmpty && out.size < k) {
+      val phi = stack.pop()
+      if (calc.holds(phi, eps)) out += phi
+      else
+        for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity) {
+          val u = phi.deps(i) | phi.deps(j)
+          if (!(u.contains(a) && u.contains(b)))
+            pairwiseConsistent(calc, phi.merge(i, j), eps, a, b)
+              .foreach(psi => if (visited.add(psi)) stack.push(psi))
+        }
+    }
+    if (k == Int.MaxValue) minimizeFull(out.toVector) else out.toVector
+  }
+
+  /** Fig. 16 for one pair: repeatedly merge the first dependent pair with
+    * `I(Ci;Cj|S) > ε`; nil (None) once A and B share a dependent.
+    */
+  def pairwiseConsistent(calc: InfoCalc, mvd: Mvd, eps: Double, a: Int, b: Int): Option[Mvd] = {
+    var phi = mvd
+    while (phi.separates(a, b)) {
+      val pairs = for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity) yield (i, j)
+      pairs.find { case (i, j) => calc.cmi(phi.deps(i), phi.deps(j), phi.key) > eps + InfoCalc.Tol } match {
+        case None => return Some(phi)
+        case Some((i, j)) =>
+          val u = phi.deps(i) | phi.deps(j)
+          if (u.contains(a) && u.contains(b)) return None
+          phi = phi.merge(i, j)
+      }
+    }
+    None
+  }
+
+  /** The MVDs of `mvds` no other one strictly refines, by comparing every
+    * pair (quadratic), in input order.
+    */
+  def minimizeFull(mvds: Vector[Mvd]): Vector[Mvd] =
+    mvds.distinct.filter(phi => !mvds.exists(_.strictlyRefines(phi)))
+
+  /** MVDMiner (Fig. 3) over the per-call search: `MinSepMiner`'s transversal
+    * loop with every probe answered by [[fullMvds]] at k = 1, and every
+    * line-5 expansion by [[fullMvds]] at k = ∞. Returns the ordered M_ε and
+    * the per-pair minimal separators.
+    */
+  def mine(calc: InfoCalc, n: Int, eps: Double,
+           minSepsOnly: Boolean): (Vector[Mvd], Map[(Int, Int), Vector[AttrSet]]) = {
+    val omega = AttrSet.range(n)
+    val miner = new MinSepMiner(new MvdLattice(calc, omega, eps, Deadline.unlimited)) {
+      override def separates(x: AttrSet, a: Int, b: Int): Boolean =
+        fullMvds(calc, omega, x, eps, a, b, 1).nonEmpty
+    }
+    val mvds = mutable.LinkedHashSet.empty[Mvd]
+    val minSeps = mutable.LinkedHashMap.empty[(Int, Int), Vector[AttrSet]]
+    for (a <- 0 until n; b <- (a + 1) until n) {
+      val seps = miner.mineMinSeps(a, b)
+      if (seps.nonEmpty) minSeps((a, b)) = seps
+      if (!minSepsOnly) for (x <- seps) mvds ++= fullMvds(calc, omega, x, eps, a, b, Int.MaxValue)
+    }
+    (mvds.toVector, minSeps.toMap)
   }
 
   /** MVD compatibility (paper Def. 7.1) over `AttrSet`s, written apart from
@@ -60,7 +133,6 @@ object Reference {
     */
   def bronKerbosch(n: Int, adj: Array[Array[Boolean]], limit: Int, deadline: Deadline)(
       emit: Set[Int] => Unit): Unit = {
-    if (n == 0) return
     // complement adjacency: clique in cAdj == independent set in adj
     val cAdj = Array.tabulate(n, n)((i, j) => i != j && !adj(i)(j))
     var emitted = 0

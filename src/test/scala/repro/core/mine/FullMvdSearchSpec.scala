@@ -2,7 +2,8 @@ package repro.core.mine
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{AttrSet, Mvd, TestData}
+import repro.core.{AttrSet, Mvd, Reference, TestData}
+import repro.core.entropy.EncodedRelation
 import repro.core.info.InfoCalc
 import repro.util.Deadline
 
@@ -21,7 +22,20 @@ class FullMvdSearchSpec extends AnyFunSuite {
 
   private def search(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
                      a: Int, b: Int): Set[Mvd] =
-    FullMvdSearch.fullMvds(calc, omega, key, eps, a, b, Int.MaxValue, Deadline.unlimited).toSet
+    new MvdLattice(calc, omega, eps, Deadline.unlimited).fullMvds(key, a, b, Int.MaxValue).toSet
+
+  /** `count` distinct MVDs with key {0}: random partitions of 1..`attrs` into at most 6 dependents. */
+  private def sameKeyFamily(count: Int, attrs: Int, seed: Long): Vector[Mvd] = {
+    val rnd = new Random(seed)
+    val key = AttrSet.of(0)
+    val distinct = scala.collection.mutable.LinkedHashSet.empty[Mvd]
+    while (distinct.size < count) {
+      val deps = Array.fill(6)(AttrSet.empty)
+      for (a <- 1 to attrs) { val d = rnd.nextInt(6); deps(d) = deps(d) + a }
+      if (deps.count(_.nonEmpty) >= 2) distinct += Mvd.of(key, deps.toVector)
+    }
+    distinct.toVector
+  }
 
   test("matches brute force on random relations (eps=0)") {
     for (seed <- 0 until 25) {
@@ -69,8 +83,8 @@ class FullMvdSearchSpec extends AnyFunSuite {
       val calc = TestData.calcOf(rel)
       val omega = AttrSet.range(5)
       for (eps <- Seq(0.0, 0.1, 0.6)) {
-        val probe = FullMvdSearch
-          .fullMvds(calc, omega, AttrSet.of(3), eps, 0, 1, 1, Deadline.unlimited)
+        val probe = new MvdLattice(calc, omega, eps, Deadline.unlimited)
+          .fullMvds(AttrSet.of(3), 0, 1, 1)
         val exists = bruteFull(calc, omega, AttrSet.of(3), eps, 0, 1).nonEmpty
         assert(probe.nonEmpty == exists, s"seed=$seed eps=$eps")
       }
@@ -92,17 +106,54 @@ class FullMvdSearchSpec extends AnyFunSuite {
     got.foreach(m => assert(m.separates(2, 3)))
   }
 
-  test("pairwiseConsistent merges inconsistent dependents or returns None") {
-    val rel = TestData.randomRelation(4, 30, 2, 9)
-    val calc = TestData.calcOf(rel)
-    val finest = Mvd.finest(AttrSet.empty, AttrSet.range(4))
-    FullMvdSearch.pairwiseConsistent(calc, finest, 0.0, 0, 1, Deadline.unlimited) match {
-      case None => succeed // a,b were forced together — legal outcome
-      case Some(phi) =>
-        assert(phi.separates(0, 1))
-        for {
-          i <- 0 until phi.arity; j <- (i + 1) until phi.arity
-        } assert(calc.cmi(phi.deps(i), phi.deps(j), phi.key) <= InfoCalc.Tol)
+  test("closure: pairwise-consistent, or None as in the per-pair loop") {
+    // a copy column is dependent on every other at eps=0 (collapses); a
+    // product relation is independent (stays finest); random ones do either
+    val copies = EncodedRelation(Vector("A", "B", "C", "D"), Array.tabulate(12)(i => Array.fill(4)(i % 3)))
+    val product = EncodedRelation(Vector("A", "B", "C", "D"),
+      (for (a <- 0 until 2; b <- 0 until 3; c <- 0 until 2; d <- 0 until 2) yield Array(a, b, c, d)).toArray)
+    val rels = Seq(copies, product) ++ (0 until 12).map(seed => TestData.randomRelation(4, 30, 2, seed + 9))
+    val omega = AttrSet.range(4)
+    var (some, none) = (0, 0)
+    for { rel <- rels; eps <- Seq(0.0, 0.05); key <- Seq(AttrSet.empty, AttrSet.of(3)) } {
+      val calc = TestData.calcOf(rel)
+      val finest = Mvd.finest(key, omega)
+      val pairs = for (a <- omega.diff(key).toSeq; b <- omega.diff(key).toSeq if a < b) yield (a, b)
+      new MvdLattice(calc, omega, eps, Deadline.unlimited).closure(finest) match {
+        case None =>
+          none += 1
+          for ((a, b) <- pairs) assert(Reference.pairwiseConsistent(calc, finest, eps, a, b).isEmpty)
+        case Some(phi) =>
+          some += 1
+          assert(phi.key == key && phi.attrs == omega && finest.refines(phi))
+          for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity)
+            assert(calc.cmi(phi.deps(i), phi.deps(j), phi.key) <= eps + InfoCalc.Tol)
+          for ((a, b) <- pairs)
+            assert(Reference.pairwiseConsistent(calc, finest, eps, a, b) == Some(phi).filter(_.separates(a, b)))
+      }
+    }
+    assert(some > 0 && none > 0, s"closures: $some kept, $none collapsed")
+  }
+
+  test("a repeated probe and expansion add no closure and no entropy call") {
+    for (seed <- 0 until 10) {
+      val calc = TestData.calcOf(TestData.randomRelation(6, 40, 3, seed + 700))
+      val lattice = new MvdLattice(calc, AttrSet.range(6), 0.1, Deadline.unlimited)
+      val key = AttrSet.of(5)
+      def counters = (lattice.closures, lattice.nodes, calc.oracle.calls)
+      val probe = lattice.separates(key, 0, 1)
+      val full = lattice.fullMvds(key, 0, 1, Int.MaxValue)
+      assert(probe == full.nonEmpty)
+      val before = counters
+      assert(lattice.separates(key, 0, 1) == probe)
+      assert(lattice.fullMvds(key, 0, 1, Int.MaxValue) == full)
+      assert(counters == before, s"seed=$seed")
+      // a failed probe has explored every node the pair can reach
+      if (!lattice.separates(key, 2, 3)) {
+        val explored = counters
+        assert(lattice.fullMvds(key, 2, 3, Int.MaxValue).isEmpty)
+        assert(counters == explored, s"seed=$seed")
+      }
     }
   }
 
@@ -110,27 +161,42 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val key = AttrSet.of(0)
     val fine = Mvd.of(key, Vector(AttrSet.of(1), AttrSet.of(2), AttrSet.of(3)))
     val coarse = Mvd.of(key, Vector(AttrSet.of(1, 2), AttrSet.of(3)))
-    assert(FullMvdSearch.minimizeFull(Vector(fine, coarse), Deadline.unlimited) == Vector(fine))
-    assert(FullMvdSearch.minimizeFull(Vector(coarse), Deadline.unlimited) == Vector(coarse))
+    assert(MvdLattice.minimizeFull(Vector(fine, coarse), Deadline.unlimited) == Vector(fine))
+    assert(MvdLattice.minimizeFull(Vector(coarse), Deadline.unlimited) == Vector(coarse))
   }
 
   test("minimizeFull stops at the deadline and keeps only confirmed full MVDs") {
     // 20 000 distinct MVDs with key {0}: random partitions of 1..12
-    val rnd = new Random(17)
-    val key = AttrSet.of(0)
-    val distinct = scala.collection.mutable.LinkedHashSet.empty[Mvd]
-    while (distinct.size < 20000) {
-      val deps = Array.fill(6)(AttrSet.empty)
-      for (a <- 1 to 12) { val d = rnd.nextInt(6); deps(d) = deps(d) + a }
-      if (deps.count(_.nonEmpty) >= 2) distinct += Mvd.of(key, deps.toVector)
-    }
-    val mvds = distinct.toVector
+    val mvds = sameKeyFamily(20000, 12, 17)
     for (limitMs <- Seq(0L, 100L)) {
       val deadline = Deadline.ofMs(limitMs)
-      val got = FullMvdSearch.minimizeFull(mvds, deadline)
+      val got = MvdLattice.minimizeFull(mvds, deadline)
       assert(deadline.elapsedMs < 1000, s"limit $limitMs ms: returned after ${deadline.elapsedMs} ms")
       for (phi <- got) assert(!mvds.exists(_.strictlyRefines(phi)), s"$phi is refined")
     }
+  }
+
+  test("minimizeFull on 20 000 same-key MVDs finishes in under 5 s") {
+    val mvds = sameKeyFamily(20000, 12, 17)
+    val deadline = Deadline.unlimited
+    val got = MvdLattice.minimizeFull(mvds, deadline)
+    assert(deadline.elapsedMs < 5000, s"took ${deadline.elapsedMs} ms")
+    assert(got.nonEmpty && got.size < mvds.size)
+  }
+
+  test("minimizeFull equals the quadratic filter on random families") {
+    for (seed <- 0 until 20) {
+      val mvds = sameKeyFamily(50 + 25 * seed, 7 + seed % 3, seed + 40)
+      assert(MvdLattice.minimizeFull(mvds, Deadline.unlimited) == Reference.minimizeFull(mvds), s"seed=$seed")
+    }
+  }
+
+  test("minimizeFull rejects MVDs of different keys or covers") {
+    val a = Mvd.of(AttrSet.of(0), Vector(AttrSet.of(1), AttrSet.of(2)))
+    val b = Mvd.of(AttrSet.of(1), Vector(AttrSet.of(0), AttrSet.of(2)))
+    val c = Mvd.of(AttrSet.of(0), Vector(AttrSet.of(1), AttrSet.of(2, 3)))
+    intercept[IllegalArgumentException](MvdLattice.minimizeFull(Vector(a, b), Deadline.unlimited))
+    intercept[IllegalArgumentException](MvdLattice.minimizeFull(Vector(a, c), Deadline.unlimited))
   }
 
   test("deadline aborts the search gracefully") {
@@ -138,8 +204,8 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val calc = TestData.calcOf(rel)
     val fired = Deadline.ofMs(0)
     Thread.sleep(5)
-    val got = FullMvdSearch.fullMvds(calc, AttrSet.range(8), AttrSet.empty,
-                                     0.0, 0, 1, Int.MaxValue, fired)
+    val got = new MvdLattice(calc, AttrSet.range(8), 0.0, fired)
+      .fullMvds(AttrSet.empty, 0, 1, Int.MaxValue)
     assert(got.isEmpty) // the DFS pops no node once the deadline has fired
   }
 }

@@ -8,7 +8,7 @@ import repro.util.Deadline
 class MinSepMinerSpec extends AnyFunSuite {
 
   private def miner(calc: repro.core.info.InfoCalc, n: Int, eps: Double) =
-    new MinSepMiner(calc, AttrSet.range(n), eps, Deadline.unlimited)
+    new MinSepMiner(new MvdLattice(calc, AttrSet.range(n), eps, Deadline.unlimited))
 
   test("matches brute force on random relations (eps=0)") {
     for (seed <- 0 until 20) {

@@ -1,7 +1,7 @@
 package repro.core.mine
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AttrSet, JoinTree, TestData}
+import repro.core.{AttrSet, JoinTree, Reference, TestData}
 import repro.data.RunningExample
 
 class MvdMinerSpec extends AnyFunSuite {
@@ -69,5 +69,44 @@ class MvdMinerSpec extends AnyFunSuite {
     val res = MvdMiner.mine(calc, 4, eps = 0.3)
     val allSeps = res.minSeps.values.flatten.toSet
     res.mvds.foreach { m => assert(allSeps.contains(m.key)) }
+  }
+
+  /** Seeded relations with 4-8 columns, of several shapes. On the 8-column
+    * ones an expansion finds several MVDs, so the discovery order shows.
+    */
+  private val relations = Seq(
+    TestData.structuredRelation(60, 5),
+    TestData.randomRelation(5, 40, 2, 31),
+    TestData.randomRelation(6, 50, 3, 32),
+    TestData.randomRelation(7, 60, 3, 34),
+    TestData.randomRelation(8, 20, 2, 1102),
+    TestData.randomRelation(8, 20, 3, 1103),
+  )
+
+  test("ordered M_eps and separators equal the per-call reference search") {
+    var mined = 0
+    for ((rel, r) <- relations.zipWithIndex; eps <- Seq(0.0, 0.1, 0.3)) {
+      val calc = TestData.calcOf(rel)
+      val res = MvdMiner.mine(calc, rel.n, eps)
+      val (mvds, seps) = Reference.mine(calc, rel.n, eps, minSepsOnly = false)
+      assert(!res.timedOut)
+      val firstDiff = mvds.indices.find(i => res.mvds.lift(i) != Some(mvds(i)))
+      assert(res.mvds.size == mvds.size && firstDiff.isEmpty,
+             s"relation $r eps=$eps: ${res.mvds.size} vs ${mvds.size} MVDs, first difference at $firstDiff")
+      assert(res.minSeps == seps, s"relation $r eps=$eps")
+      assert(res.closures >= res.searchNodes)
+      if (res.minSeps.nonEmpty) assert(res.searchNodes > 0)
+      mined += mvds.size
+    }
+    assert(mined > 0)
+  }
+
+  test("minSepsOnly: separators equal the per-call reference search") {
+    for ((rel, r) <- relations.zipWithIndex; eps <- Seq(0.0, 0.1, 0.3)) {
+      val calc = TestData.calcOf(rel)
+      val res = MvdMiner.mine(calc, rel.n, eps, minSepsOnly = true)
+      val (_, seps) = Reference.mine(calc, rel.n, eps, minSepsOnly = true)
+      assert(res.minSeps == seps, s"relation $r eps=$eps")
+    }
   }
 }

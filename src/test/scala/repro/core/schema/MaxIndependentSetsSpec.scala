@@ -83,6 +83,9 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
 
   test("zero vertices: the empty set is the one MIS") {
     assert(emissions(0, emptyGraph(0), Int.MaxValue) == Vector(Set.empty[Int]))
+    val ref = Vector.newBuilder[Set[Int]]
+    Reference.bronKerbosch(0, emptyGraph(0), Int.MaxValue, Deadline.unlimited)(ref += _)
+    assert(ref.result() == Vector(Set.empty[Int]))
   }
 
   test("every emitted set is independent and maximal") {
