@@ -20,9 +20,17 @@ final class InfoCalc(val oracle: EntropyOracle) {
     math.max(0.0, H(x | y) + H(x | z) - H(x | y | z) - H(x))
 
   /** `J(X ↠ Y1|…|Ym) = Σ H(XYi) − (m−1)·H(X) − H(XY1…Ym)`. */
-  def jMvd(m: Mvd): Double = {
-    val v = m.deps.map(d => H(m.key | d)).sum - (m.arity - 1) * H(m.key) - H(m.attrs)
-    math.max(0.0, v)
+  def jMvd(m: Mvd): Double = jMvd(m.key, m.deps.iterator.map(_.bits).toArray)
+
+  /** [[jMvd]] of `key ↠ deps`, the dependents given as bitmasks. */
+  def jMvd(key: AttrSet, deps: Array[Long]): Double = {
+    var sum = 0.0
+    var all = key
+    for (d <- deps) {
+      sum += H(key | AttrSet(d))
+      all = all | AttrSet(d)
+    }
+    math.max(0.0, sum - (deps.length - 1) * H(key) - H(all))
   }
 
   /** `J(T) = Σ_v H(χ(v)) − Σ_e H(sep(e)) − H(χ(T))` (Eq. 6). */
@@ -40,6 +48,10 @@ final class InfoCalc(val oracle: EntropyOracle) {
 
   /** `R ⊨_ε φ` with a small tolerance so ε = 0 means "exactly holds". */
   def holds(m: Mvd, eps: Double): Boolean = jMvd(m) <= eps + InfoCalc.Tol
+
+  /** [[holds]] for `key ↠ deps`, the dependents given as bitmasks. */
+  def holds(key: AttrSet, deps: Array[Long], eps: Double): Boolean =
+    jMvd(key, deps) <= eps + InfoCalc.Tol
 }
 
 object InfoCalc {

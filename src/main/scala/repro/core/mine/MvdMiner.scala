@@ -18,7 +18,9 @@ object MvdMiner {
     * @param elapsedMs   total mining wall time
     * @param entropyCalls / entropyComputations: oracle traffic for the benches
     * @param searchNodes distinct closed nodes of the search lattice
-    * @param closures    Fig. 16 merge loops run (closures computed)
+    * @param closures    Fig. 16 merge loops run (closures computed). Each
+    *   separator key is expanded once by a search that does not filter by
+    *   the pair, which can close a few nodes that no per-pair search reaches.
     */
   final case class Result(
       mvds: Vector[Mvd],

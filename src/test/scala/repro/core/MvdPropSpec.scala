@@ -32,14 +32,14 @@ class MvdPropSpec extends AnyFunSuite with PropSupport {
   }
 
   test("refines is reflexive") {
-    checkProp(Prop.forAll(genMvd) { m => m.refines(m) && !m.strictlyRefines(m) })
+    checkProp(Prop.forAll(genMvd) { m => Reference.refines(m, m) && !Reference.strictlyRefines(m, m) })
   }
 
   test("merge coarsens: m refines m.merge(i,j)") {
     checkProp(Prop.forAll(genMvd) { m =>
       m.arity < 3 || {
-        val merged = m.merge(0, 1)
-        m.refines(merged) && merged.arity == m.arity - 1
+        val merged = Reference.merge(m, 0, 1)
+        Reference.refines(m, merged) && merged.arity == m.arity - 1
       }
     })
   }
@@ -57,9 +57,9 @@ class MvdPropSpec extends AnyFunSuite with PropSupport {
         val deps = if (rem.isEmpty) bDeps else bDeps :+ rem
         // deps must be disjoint — b0's deps are disjoint, rem is disjoint ✓
         val b = Mvd.of(a.key, deps)
-        val j1 = a.vee(b)
-        val j2 = b.vee(a)
-        j1 == j2 && j1.refines(a) && j1.refines(b)
+        val j1 = Reference.vee(a, b)
+        val j2 = Reference.vee(b, a)
+        j1 == j2 && Reference.refines(j1, a) && Reference.refines(j1, b)
       }
     })
   }
@@ -68,7 +68,7 @@ class MvdPropSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(genMvd) { m =>
       (0 until m.arity).forall { i =>
         val s = Reference.standardize(m, i)
-        s.arity == 2 && m.refines(s) && s.deps.contains(m.deps(i))
+        s.arity == 2 && Reference.refines(m, s) && s.deps.contains(m.deps(i))
       }
     })
   }
@@ -77,8 +77,8 @@ class MvdPropSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(genMvd) { m =>
       val attrs = (0 until n).filter(m.attrs.contains)
       attrs.forall { a => attrs.forall { b =>
-        m.separates(a, b) == m.separates(b, a) &&
-        (!m.key.contains(a) || !m.separates(a, b))
+        Reference.separates(m, a, b) == Reference.separates(m, b, a) &&
+        (!m.key.contains(a) || !Reference.separates(m, a, b))
       }}
     })
   }

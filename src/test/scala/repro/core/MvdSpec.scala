@@ -40,46 +40,46 @@ class MvdSpec extends AnyFunSuite {
 
   test("separates") {
     val phi = m(X, AttrSet.of(1, 2), AttrSet.of(3))
-    assert(phi.separates(1, 3))
-    assert(!phi.separates(1, 2))
-    assert(!phi.separates(0, 1)) // key attr is in no dependent
+    assert(Reference.separates(phi, 1, 3))
+    assert(!Reference.separates(phi, 1, 2))
+    assert(!Reference.separates(phi, 0, 1)) // key attr is in no dependent
   }
 
   test("X ↠ A|B|C refines X ↠ AB|C (paper example)") {
     val fine = m(X, AttrSet.of(1), AttrSet.of(2), AttrSet.of(3))
     val coarse = m(X, AttrSet.of(1, 2), AttrSet.of(3))
-    assert(fine.refines(coarse))
-    assert(fine.strictlyRefines(coarse))
-    assert(!coarse.refines(fine))
-    assert(fine.refines(fine) && !fine.strictlyRefines(fine))
+    assert(Reference.refines(fine, coarse))
+    assert(Reference.strictlyRefines(fine, coarse))
+    assert(!Reference.refines(coarse, fine))
+    assert(Reference.refines(fine, fine) && !Reference.strictlyRefines(fine, fine))
   }
 
   test("refines requires equal keys") {
     val a = m(AttrSet.of(0), AttrSet.of(1), AttrSet.of(2))
     val b = m(AttrSet.of(3), AttrSet.of(1), AttrSet.of(2))
-    assert(!a.refines(b))
+    assert(!Reference.refines(a, b))
   }
 
   test("merge unions two dependents") {
     val phi = m(X, AttrSet.of(1), AttrSet.of(2), AttrSet.of(3))
-    val merged = phi.merge(0, 2) // deps sorted: {1},{2},{3} → merge {1} and {3}
+    val merged = Reference.merge(phi, 0, 2) // deps sorted: {1},{2},{3} → merge {1} and {3}
     assert(merged.arity == 2)
     assert(merged.deps.contains(AttrSet.of(1, 3)))
-    assert(phi.refines(merged))
+    assert(Reference.refines(phi, merged))
   }
 
   test("vee is the coarsest common refinement") {
     val phi = m(X, AttrSet.of(1, 2), AttrSet.of(3, 4))
     val psi = m(X, AttrSet.of(1, 3), AttrSet.of(2, 4))
-    val j = phi.vee(psi)
+    val j = Reference.vee(phi, psi)
     assert(j.arity == 4)
-    assert(j.refines(phi) && j.refines(psi))
+    assert(Reference.refines(j, phi) && Reference.refines(j, psi))
     assert(j.deps.toSet == Set(AttrSet.of(1), AttrSet.of(2), AttrSet.of(3), AttrSet.of(4)))
   }
 
   test("vee with itself is identity") {
     val phi = m(X, AttrSet.of(1, 2), AttrSet.of(3))
-    assert(phi.vee(phi) == phi)
+    assert(Reference.vee(phi, phi) == phi)
   }
 
   test("standardize isolates one dependent against the rest") {
@@ -87,11 +87,11 @@ class MvdSpec extends AnyFunSuite {
     val std = Reference.standardize(phi, 0)
     assert(std.arity == 2)
     assert(std.deps.toSet == Set(AttrSet.of(1), AttrSet.of(2, 3)))
-    assert(phi.refines(std))
+    assert(Reference.refines(phi, std))
   }
 
   test("finest builds all-singleton dependents") {
-    val phi = Mvd.finest(AttrSet.of(0, 1), AttrSet.range(5))
+    val phi = Reference.finest(AttrSet.of(0, 1), AttrSet.range(5))
     assert(phi.arity == 3)
     assert(phi.deps.forall(_.size == 1))
     assert(phi.attrs == AttrSet.range(5))

@@ -10,6 +10,50 @@ import repro.util.Deadline
   */
 object Reference {
 
+  // ------------------------------------------------------------------
+  // MVD algebra (paper Sec. 5.2) on `Mvd`s; the search runs it on masks
+  // ------------------------------------------------------------------
+
+  /** Index of the dependent of `m` containing attribute `i`, or -1. */
+  def depContaining(m: Mvd, i: Int): Int = m.deps.indexWhere(_.contains(i))
+
+  /** True when `a` and `b` lie in two distinct dependents of `m`. */
+  def separates(m: Mvd, a: Int, b: Int): Boolean = {
+    val da = depContaining(m, a)
+    val db = depContaining(m, b)
+    da >= 0 && db >= 0 && da != db
+  }
+
+  /** `p` refines `q` (paper Sec. 5.2): same key and every dependent of `p`
+    * is contained in some dependent of `q`.
+    */
+  def refines(p: Mvd, q: Mvd): Boolean =
+    p.key == q.key && p.deps.forall(d => q.deps.exists(d.subsetOf(_)))
+
+  def strictlyRefines(p: Mvd, q: Mvd): Boolean = refines(p, q) && p != q
+
+  /** `merge_ij(φ)`: the MVD with dependents i and j replaced by their union. */
+  def merge(m: Mvd, i: Int, j: Int): Mvd = {
+    require(i != j, "cannot merge a dependent with itself")
+    val merged = m.deps(i) | m.deps(j)
+    val rest = m.deps.indices.filter(x => x != i && x != j).map(m.deps).toVector
+    Mvd.of(m.key, rest :+ merged)
+  }
+
+  /** The join `p ∨ q` (paper Sec. 5.2 / Appendix 11): same-key MVD whose
+    * dependents are all non-empty pairwise intersections; refines both.
+    */
+  def vee(p: Mvd, q: Mvd): Mvd = {
+    require(p.key == q.key, "join is only defined for MVDs with equal keys")
+    Mvd.of(p.key, for { a <- p.deps; b <- q.deps; c = a & b if c.nonEmpty } yield c)
+  }
+
+  /** The finest MVD with key `x` over universe `omega`: every non-key
+    * attribute is its own dependent.
+    */
+  def finest(x: AttrSet, omega: AttrSet): Mvd =
+    Mvd.of(x, omega.diff(x).toSeq.map(AttrSet.single))
+
   /** Brute-force minimal A,B-separators (the reference for `MinSepMiner`):
     * check every subset of Ω\{A,B} against every 2-partition (exponential).
     * X separates A,B iff some 2-partition (Y,Z) of Ω\X with A∈Y, B∈Z has
@@ -41,7 +85,7 @@ object Reference {
     val out = mutable.ArrayBuffer.empty[Mvd]
     val visited = mutable.HashSet.empty[Mvd]
     val stack = mutable.Stack.empty[Mvd]
-    pairwiseConsistent(calc, Mvd.finest(key, omega), eps, a, b)
+    pairwiseConsistent(calc, finest(key, omega), eps, a, b)
       .foreach { phi => visited += phi; stack.push(phi) }
     while (stack.nonEmpty && out.size < k) {
       val phi = stack.pop()
@@ -50,7 +94,7 @@ object Reference {
         for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity) {
           val u = phi.deps(i) | phi.deps(j)
           if (!(u.contains(a) && u.contains(b)))
-            pairwiseConsistent(calc, phi.merge(i, j), eps, a, b)
+            pairwiseConsistent(calc, merge(phi, i, j), eps, a, b)
               .foreach(psi => if (visited.add(psi)) stack.push(psi))
         }
     }
@@ -62,14 +106,14 @@ object Reference {
     */
   def pairwiseConsistent(calc: InfoCalc, mvd: Mvd, eps: Double, a: Int, b: Int): Option[Mvd] = {
     var phi = mvd
-    while (phi.separates(a, b)) {
+    while (separates(phi, a, b)) {
       val pairs = for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity) yield (i, j)
       pairs.find { case (i, j) => calc.cmi(phi.deps(i), phi.deps(j), phi.key) > eps + InfoCalc.Tol } match {
         case None => return Some(phi)
         case Some((i, j)) =>
           val u = phi.deps(i) | phi.deps(j)
           if (u.contains(a) && u.contains(b)) return None
-          phi = phi.merge(i, j)
+          phi = merge(phi, i, j)
       }
     }
     None
@@ -79,7 +123,7 @@ object Reference {
     * pair (quadratic), in input order.
     */
   def minimizeFull(mvds: Vector[Mvd]): Vector[Mvd] =
-    mvds.distinct.filter(phi => !mvds.exists(_.strictlyRefines(phi)))
+    mvds.distinct.filter(phi => !mvds.exists(strictlyRefines(_, phi)))
 
   /** MVDMiner (Fig. 3) over the per-call search: `MinSepMiner`'s transversal
     * loop with every probe answered by [[fullMvds]] at k = 1, and every

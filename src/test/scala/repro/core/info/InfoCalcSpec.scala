@@ -2,7 +2,7 @@ package repro.core.info
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{AttrSet, JoinTree, Mvd, Schema, TestData}
+import repro.core.{AttrSet, JoinTree, Mvd, Reference, Schema, TestData}
 import repro.data.RunningExample
 
 class InfoCalcSpec extends AnyFunSuite {
@@ -84,9 +84,9 @@ class InfoCalcSpec extends AnyFunSuite {
     for (seed <- 0 until 15) {
       val calc = randCalc(seed)
       val key = AttrSet.of(0)
-      val fine = Mvd.finest(key, AttrSet.range(5))
-      val coarse1 = fine.merge(0, 1)
-      val coarse2 = coarse1.merge(0, 1)
+      val fine = Reference.finest(key, AttrSet.range(5))
+      val coarse1 = Reference.merge(fine, 0, 1)
+      val coarse2 = Reference.merge(coarse1, 0, 1)
       assert(calc.jMvd(fine) >= calc.jMvd(coarse1) - 1e-9)
       assert(calc.jMvd(coarse1) >= calc.jMvd(coarse2) - 1e-9)
     }
@@ -107,7 +107,7 @@ class InfoCalcSpec extends AnyFunSuite {
       val key = AttrSet.empty
       val phi = Mvd.of(key, Vector(AttrSet.of(0, 1), AttrSet.of(2, 3, 4)))
       val psi = Mvd.of(key, Vector(AttrSet.of(0, 2), AttrSet.of(1, 3, 4)))
-      val join = phi.vee(psi)
+      val join = Reference.vee(phi, psi)
       val m = phi.arity; val k = psi.arity
       assert(calc.jMvd(join) <= calc.jMvd(phi) + m * calc.jMvd(psi) + 1e-9)
       assert(calc.jMvd(join) <= k * calc.jMvd(phi) + calc.jMvd(psi) + 1e-9)

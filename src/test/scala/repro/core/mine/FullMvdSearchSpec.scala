@@ -16,8 +16,8 @@ class FullMvdSearchSpec extends AnyFunSuite {
                         a: Int, b: Int): Set[Mvd] = {
     val parts = TestData.allPartitions(omega.diff(key)).filter(_.size >= 2)
     val holding = parts.map(p => Mvd.of(key, p))
-      .filter(m => m.separates(a, b) && calc.holds(m, eps))
-    holding.filter(m => !holding.exists(o => o.strictlyRefines(m))).toSet
+      .filter(m => Reference.separates(m, a, b) && calc.holds(m, eps))
+    holding.filter(m => !holding.exists(o => Reference.strictlyRefines(o, m))).toSet
   }
 
   private def search(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
@@ -70,7 +70,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
       val got = search(calc, omega, AttrSet.of(0), 0.3, 1, 3)
       got.foreach { m =>
         assert(m.key == AttrSet.of(0))
-        assert(m.separates(1, 3))
+        assert(Reference.separates(m, 1, 3))
         assert(calc.holds(m, 0.3))
         assert(m.attrs == omega)
       }
@@ -95,7 +95,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val rel = TestData.randomRelation(5, 30, 3, 77)
     val calc = TestData.calcOf(rel)
     val got = search(calc, AttrSet.range(5), AttrSet.of(0), 100.0, 1, 2)
-    assert(got == Set(Mvd.finest(AttrSet.of(0), AttrSet.range(5))))
+    assert(got == Set(Reference.finest(AttrSet.of(0), AttrSet.range(5))))
   }
 
   test("FD key: A -> C makes {A} separate C from everything") {
@@ -103,7 +103,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val calc = TestData.calcOf(rel)
     val got = search(calc, AttrSet.range(4), AttrSet.of(0), 0.0, 2, 3)
     assert(got.nonEmpty)
-    got.foreach(m => assert(m.separates(2, 3)))
+    got.foreach(m => assert(Reference.separates(m, 2, 3)))
   }
 
   test("closure: pairwise-consistent, or None as in the per-pair loop") {
@@ -117,7 +117,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
     var (some, none) = (0, 0)
     for { rel <- rels; eps <- Seq(0.0, 0.05); key <- Seq(AttrSet.empty, AttrSet.of(3)) } {
       val calc = TestData.calcOf(rel)
-      val finest = Mvd.finest(key, omega)
+      val finest = Reference.finest(key, omega)
       val pairs = for (a <- omega.diff(key).toSeq; b <- omega.diff(key).toSeq if a < b) yield (a, b)
       new MvdLattice(calc, omega, eps, Deadline.unlimited).closure(finest) match {
         case None =>
@@ -125,11 +125,11 @@ class FullMvdSearchSpec extends AnyFunSuite {
           for ((a, b) <- pairs) assert(Reference.pairwiseConsistent(calc, finest, eps, a, b).isEmpty)
         case Some(phi) =>
           some += 1
-          assert(phi.key == key && phi.attrs == omega && finest.refines(phi))
+          assert(phi.key == key && phi.attrs == omega && Reference.refines(finest, phi))
           for (i <- 0 until phi.arity; j <- (i + 1) until phi.arity)
             assert(calc.cmi(phi.deps(i), phi.deps(j), phi.key) <= eps + InfoCalc.Tol)
           for ((a, b) <- pairs)
-            assert(Reference.pairwiseConsistent(calc, finest, eps, a, b) == Some(phi).filter(_.separates(a, b)))
+            assert(Reference.pairwiseConsistent(calc, finest, eps, a, b) == Some(phi).filter(Reference.separates(_, a, b)))
       }
     }
     assert(some > 0 && none > 0, s"closures: $some kept, $none collapsed")
@@ -157,6 +157,78 @@ class FullMvdSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("expansions equal the per-call reference whichever pair expands the key first") {
+    val rels = Seq(TestData.randomRelation(6, 40, 3, 801), TestData.randomRelation(7, 30, 2, 802),
+                   TestData.randomRelation(8, 20, 3, 803))
+    var several = 0
+    for ((rel, r) <- rels.zipWithIndex; eps <- Seq(0.0, 0.1, 0.3)) {
+      val calc = TestData.calcOf(rel)
+      val omega = AttrSet.range(rel.n)
+      val keys = AttrSet.subsetsOf(omega).filter(k => omega.diff(k).size >= 2).toVector
+      def pairs(key: AttrSet) = {
+        val rest = omega.diff(key).toSeq
+        for (a <- rest; b <- rest if a < b) yield (a, b)
+      }
+      val expected = (for (key <- keys; (a, b) <- pairs(key))
+        yield (key, a, b) -> Reference.fullMvds(calc, omega, key, eps, a, b, Int.MaxValue)).toMap
+      several += expected.values.count(_.size >= 2)
+      for (order <- 0 until 3) {
+        val rnd = new Random(order)
+        val lattice = new MvdLattice(calc, omega, eps, Deadline.unlimited)
+        for (key <- rnd.shuffle(keys)) {
+          val ps = rnd.shuffle(pairs(key))
+          // as in the miner, k = 1 probes may come first
+          if (order > 0) ps.foreach { case (a, b) => lattice.separates(key, a, b) }
+          for (((a, b), i) <- ps.zipWithIndex) {
+            val before = (lattice.closures, lattice.nodes, calc.oracle.calls)
+            val got = lattice.fullMvds(key, a, b, Int.MaxValue)
+            assert(got == expected((key, a, b)), s"relation $r eps=$eps order $order key=$key pair=($a,$b)")
+            if (i > 0)
+              assert((lattice.closures, lattice.nodes, calc.oracle.calls) == before,
+                     s"relation $r eps=$eps order $order key=$key pair=($a,$b): a second pair searched again")
+          }
+        }
+      }
+    }
+    assert(several > 0, "no expansion found two MVDs, so the order went untested")
+  }
+
+  test("masks sort as Mvd.of sorts: attributes 62 and 63 of a 64-column relation") {
+    // attributes 0, 1, 31, 62, 63 vary; 31 copies 0 and 63 mostly copies 1
+    val varying = AttrSet.of(0, 1, 31, 62, 63)
+    val omega = AttrSet.range(64)
+    var signFirst = 0
+    for (seed <- 0 until 4) {
+      val rnd = new Random(seed + 900)
+      val rows = Array.fill(40) {
+        val row = Array.fill(64)(0)
+        row(0) = rnd.nextInt(3)
+        row(1) = rnd.nextInt(3)
+        row(31) = row(0)
+        row(62) = rnd.nextInt(3)
+        row(63) = if (rnd.nextInt(10) == 0) rnd.nextInt(3) else row(1)
+        row
+      }
+      val calc = TestData.calcOf(EncodedRelation(Vector.tabulate(64)(i => s"c$i"), rows))
+      for (eps <- Seq(0.0, 0.1, 0.3); extra <- Seq(AttrSet.empty, AttrSet.of(31), AttrSet.of(0, 31))) {
+        val key = omega.diff(varying) | extra
+        val lattice = new MvdLattice(calc, omega, eps, Deadline.unlimited)
+        val finest = Reference.finest(key, omega)
+        val closure = lattice.closure(finest)
+        if (closure.exists(_.deps.head.contains(63))) signFirst += 1
+        val rest = omega.diff(key).toSeq
+        for (a <- rest; b <- rest if a < b) {
+          assert(closure.filter(Reference.separates(_, a, b)) ==
+                   Reference.pairwiseConsistent(calc, finest, eps, a, b), s"seed=$seed eps=$eps key=$key")
+          for (k <- Seq(1, Int.MaxValue))
+            assert(lattice.fullMvds(key, a, b, k) == Reference.fullMvds(calc, omega, key, eps, a, b, k),
+                   s"seed=$seed eps=$eps key=$key pair=($a,$b) k=$k")
+        }
+      }
+    }
+    assert(signFirst > 0, "no closure had a dependent with attribute 63")
+  }
+
   test("minimizeFull removes refined MVDs") {
     val key = AttrSet.of(0)
     val fine = Mvd.of(key, Vector(AttrSet.of(1), AttrSet.of(2), AttrSet.of(3)))
@@ -172,7 +244,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
       val deadline = Deadline.ofMs(limitMs)
       val got = MvdLattice.minimizeFull(mvds, deadline)
       assert(deadline.elapsedMs < 1000, s"limit $limitMs ms: returned after ${deadline.elapsedMs} ms")
-      for (phi <- got) assert(!mvds.exists(_.strictlyRefines(phi)), s"$phi is refined")
+      for (phi <- got) assert(!mvds.exists(Reference.strictlyRefines(_, phi)), s"$phi is refined")
     }
   }
 
