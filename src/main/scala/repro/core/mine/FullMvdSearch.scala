@@ -34,10 +34,10 @@ import repro.util.Deadline
   * comes first). Nodes are interned in an open-addressing table keyed by
   * those words; an `Mvd` is built only for the MVDs handed out.
   *
-  * A k = 1 probe of (key, A, B) is a DFS that keeps a child iff it separates
-  * (A, B) and is not yet visited (an int stamp per node), and pushes in the
-  * order of the per-pair search, so it finds the same first MVD. The k = ∞
-  * expansions of a key share one DFS that keeps every child: merging only
+  * A k = 1 probe of (key, A, B) ([[separates]]) is a DFS that keeps a child
+  * iff it separates (A, B) and is not yet visited (an int stamp per node),
+  * and pushes in the order of the per-pair search. The k = ∞ expansions
+  * ([[fullMvds]]) of a key share one DFS that keeps every child: merging only
   * coarsens, so a node separating (A, B) is reached only through nodes that
   * separate (A, B), and dropping the other nodes from the pair-free DFS
   * leaves the per-pair DFS in its order. Its holding nodes are minimized once
@@ -76,16 +76,12 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
   def closure(phi: Mvd): Option[Mvd] =
     Option(closed(phi.key.bits, phi.deps.iterator.map(_.bits).toArray, 0L)).map(_.mvd)
 
-  /** At most `k` ε-MVDs with key `key` separating `a`,`b`, in discovery
-    * order. With `k = Int.MaxValue` the result is post-minimized so only
-    * *full* (unrefinable) MVDs survive; with small `k` it is an existence
-    * probe (used by ReduceMinSep / MineMinSeps with k = 1).
+  /** The full (unrefinable) ε-MVDs with key `key` separating `a`,`b`, in
+    * discovery order: line 5 of MVDMiner (Fig. 3).
     */
-  def fullMvds(key: AttrSet, a: Int, b: Int, k: Int): Vector[Mvd] = {
+  def fullMvds(key: AttrSet, a: Int, b: Int): Vector[Mvd] = {
     checkPair(key, a, b)
-    val found =
-      if (k == Int.MaxValue) expansion(key).iterator.filter(_.separates(a, b)) else dfs(key, a, b, k).iterator
-    found.map(_.mvd).toVector
+    expansion(key).iterator.filter(_.separates(a, b)).map(_.mvd).toVector
   }
 
   /** Existence probe: does some ε-MVD with key `x` separate a,b? */

@@ -1,18 +1,14 @@
 package repro.core.mine
 
-import scala.collection.mutable
 import repro.core.AttrSet
 import repro.core.info.InfoCalc
 
-/** MineMinSeps + ReduceMinSep (paper Fig. 4/5): enumerate all minimal
-  * A,B-separators of R at threshold ε.
-  *
-  * A set X (with A,B ∉ X) *separates* A,B if some ε-MVD with key X puts A
-  * and B in distinct dependents. By Thm 6.1 a new minimal separator exists
-  * iff some minimal transversal D of the discovered family C has a
-  * separating complement; we iterate minimal transversals of the growing
-  * family until none is left unprocessed. Every probe goes through the
-  * shared search `lattice`, which fixes Ω, ε and the deadline.
+/** MineMinSeps + ReduceMinSep (paper Fig. 4/5): all minimal A,B-separators
+  * of R at threshold ε. A set X (A,B ∉ X) *separates* A,B if some ε-MVD with
+  * key X puts A and B in distinct dependents. By Thm 6.1 a new minimal
+  * separator exists iff some minimal transversal of the separators found so
+  * far ([[Transversals]]) has a separating complement. Every probe goes
+  * through the shared search `lattice`, which fixes Ω, ε and the deadline.
   */
 class MinSepMiner(lattice: MvdLattice) {
   import lattice.{calc, deadline, eps, omega}
@@ -26,14 +22,13 @@ class MinSepMiner(lattice: MvdLattice) {
     */
   def reduceMinSep(x: AttrSet, a: Int, b: Int): AttrSet = {
     var s = x
-    for (i <- x.toSeq) {
-      if (!deadline.exceeded && separates(s - i, a, b)) s = s - i
-    }
+    for (i <- x.toSeq if !deadline.exceeded && separates(s - i, a, b)) s = s - i
     s
   }
 
-  /** MineMinSeps (Fig. 5): all minimal A,B-separators. May be partial if the
-    * deadline fires (the caller observes `deadline.exceeded`).
+  /** MineMinSeps (Fig. 5): the minimal A,B-separators in discovery order,
+    * partial if the deadline fires (the caller observes `deadline.exceeded`).
+    * A separator whose reduction the deadline cut may not be minimal: dropped.
     */
   def mineMinSeps(a: Int, b: Int): Vector[AttrSet] = {
     val ground = omega - a - b
@@ -41,26 +36,19 @@ class MinSepMiner(lattice: MvdLattice) {
     // key separating A,B is X ↠ A|B, so the probe is a single CMI.
     if (calc.cmi(AttrSet.single(a), AttrSet.single(b), ground) > eps + InfoCalc.Tol)
       return Vector.empty
-    val first = reduceMinSep(ground, a, b)
-    val c = mutable.ArrayBuffer[AttrSet](first)
-    val processed = mutable.HashSet.empty[Long]
-    // Berge's transversal family is maintained incrementally as separators
-    // are added (each discovery is one addEdge step).
-    var trs = Transversals.addEdge(Vector(AttrSet.empty), first, ground)
-    var done = false
-    while (!done && !deadline.exceeded) {
-      trs.find(d => !processed.contains(d.bits)) match {
-        case None => done = true // all minimal transversals processed (Thm 6.1)
-        case Some(d) =>
-          processed += d.bits
-          val comp = ground.diff(d)
-          if (separates(comp, a, b)) {
-            val x = reduceMinSep(comp, a, b)
-            c += x
-            trs = Transversals.addEdge(trs, x, ground)
-          }
-      }
+    val seps = Vector.newBuilder[AttrSet]
+    val trs = new Transversals
+    def add(x: AttrSet): Unit = {
+      val sep = reduceMinSep(x, a, b)
+      if (!deadline.exceeded) { seps += sep; trs.addEdge(sep) }
     }
-    c.toVector.distinct
+    add(ground)
+    var d = trs.next() // None once every minimal transversal is processed
+    while (d.nonEmpty && !deadline.exceeded) {
+      val comp = ground.diff(d.get)
+      if (separates(comp, a, b)) add(comp)
+      d = trs.next()
+    }
+    seps.result()
   }
 }

@@ -63,7 +63,7 @@ object MvdMiner {
         if (seps.nonEmpty) minSeps((a, b)) = seps
         if (!minSepsOnly) {
           for (x <- seps if !deadline.exceeded) {
-            lattice.fullMvds(x, a, b, k = Int.MaxValue).foreach(mvds += _)
+            lattice.fullMvds(x, a, b).foreach(mvds += _)
           }
         }
         b += 1

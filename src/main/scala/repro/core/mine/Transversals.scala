@@ -1,46 +1,58 @@
 package repro.core.mine
 
+import java.lang.Long.bitCount
 import repro.core.AttrSet
 
-/** Minimal transversals (minimal hitting sets) of a set family — the
-  * hypergraph-transversal substrate of MineMinSeps (paper Sec. 6.1,
-  * Thm 6.1). We use Berge's incremental algorithm: the theoretically
-  * stronger Fredman–Khachiyan enumerator produces the same family; at the
-  * paper's scale (≤ 45 attributes, hundreds of separators) Berge is fast
-  * and far simpler.
+/** Berge's incremental minimal transversals (Berge, *Hypergraphs*, 1989),
+  * the dualization of MineMinSeps (paper Sec. 6.1, Thm 6.1). The family F
+  * holds the minimal transversals of the edges so far ({∅} for none) as
+  * masks in size order, each with a processed flag. Three facts about an
+  * antichain F and a new edge e give the step:
+  *  1. every t ∈ F that hits e stays;
+  *  2. for the t ∈ F that miss e, the candidates t ∪ {x}, x ∈ e ascending,
+  *     are distinct and incomparable, and none lies inside a staying set:
+  *     each such inclusion puts one member of F strictly inside another. So
+  *     a candidate is dropped iff a staying s lies inside it (s − t = {x}),
+  *     and nothing else is deduplicated or minimized;
+  *  3. the staying sets and the kept candidates are each in size order, so
+  *     a stable merge, staying sets first on ties, is the stable sort by size.
+  * Flags move with the staying sets and candidates start unprocessed: a set
+  * that left F missed an edge, so it never returns. An empty edge empties F.
   */
-object Transversals {
+final class Transversals {
+  private var sets = Array(0L)
+  private var done = Array(false)
+  private var first = 0 // every set before `first` is processed
 
-  /** All minimal transversals of `edges` drawn from `ground`.
-    * Edges are intersected with `ground` first. If any edge has no element
-    * in `ground` (in particular the empty edge), there is no transversal.
-    * The transversal family of an empty edge list is `{∅}`.
-    */
-  def minimal(edges: Seq[AttrSet], ground: AttrSet): Vector[AttrSet] =
-    edges.foldLeft(Vector(AttrSet.empty)) { (trs, e) => addEdge(trs, e, ground) }
+  /** F in order, each set with its processed flag. */
+  def family: Vector[(AttrSet, Boolean)] = Vector.tabulate(sets.length)(i => (AttrSet(sets(i)), done(i)))
 
-  /** One Berge step: update the minimal-transversal family after adding one
-    * edge. MineMinSeps uses this incrementally as separators are discovered.
-    */
-  def addEdge(trs: Vector[AttrSet], edge: AttrSet, ground: AttrSet): Vector[AttrSet] = {
-    val e = edge & ground
-    if (e.isEmpty) return Vector.empty
-    val (hit, miss) = trs.partition(_.intersects(e))
-    val extended = for { t <- miss; x <- e.toSeq } yield t + x
-    minimize(hit ++ extended)
+  /** Marks the first unprocessed set of F processed and returns it; None when all are. */
+  def next(): Option[AttrSet] = {
+    while (first < sets.length && done(first)) first += 1
+    if (first == sets.length) None else { done(first) = true; Some(AttrSet(sets(first))) }
   }
 
-  /** Inclusion-minimal members of a family (deduped). */
-  def minimize(sets: Seq[AttrSet]): Vector[AttrSet] = {
-    val sorted = sets.distinct.sortBy(_.size)
-    val kept = Vector.newBuilder[AttrSet]
-    var keptSoFar = List.empty[AttrSet]
-    for (s <- sorted) {
-      if (!keptSoFar.exists(_.subsetOf(s))) {
-        kept += s
-        keptSoFar ::= s
-      }
+  /** One Berge step: F becomes the minimal transversals of its edges and `edge`. */
+  def addEdge(edge: AttrSet): Unit = {
+    val e = edge.bits
+    val stay = sets.indices.filter(i => (sets(i) & e) != 0L).toArray
+    val cands = new scala.collection.mutable.ArrayBuilder.ofLong
+    for (t <- sets if (t & e) == 0L) {
+      var kill = 0L // the x of each staying s with s − t = {x}
+      var k = 0
+      while (k < stay.length) { val r = sets(stay(k)) & ~t; if ((r & (r - 1)) == 0L) kill |= r; k += 1 }
+      var xs = e & ~kill
+      while (xs != 0L) { cands += t | (xs & -xs); xs &= xs - 1 }
     }
-    kept.result()
+    val c = cands.result()
+    val (merged, flags) = (new Array[Long](stay.length + c.length), new Array[Boolean](stay.length + c.length))
+    var (i, j) = (0, 0)
+    while (i + j < merged.length) {
+      if (j == c.length || i < stay.length && bitCount(sets(stay(i))) <= bitCount(c(j))) {
+        merged(i + j) = sets(stay(i)); flags(i + j) = done(stay(i)); i += 1
+      } else { merged(i + j) = c(j); j += 1 }
+    }
+    sets = merged; done = flags; first = 0
   }
 }

@@ -75,6 +75,42 @@ object Reference {
     separating.filter(x => !separating.exists(y => y.strictSubsetOf(x)))
   }
 
+  /** Minimal transversals of `edges` drawn from `ground` by Berge's
+    * algorithm on `Vector[AttrSet]`: the engine that the word-level
+    * `Transversals` replaced, and its order oracle. Edges are intersected
+    * with `ground` first; an edge with no element in `ground` (the empty
+    * edge in particular) leaves no transversal. No edge gives `{∅}`.
+    */
+  def minimal(edges: Seq[AttrSet], ground: AttrSet): Vector[AttrSet] =
+    edges.foldLeft(Vector(AttrSet.empty)) { (trs, e) => addEdge(trs, e, ground) }
+
+  /** One Berge step: the sets that hit the edge, then each miss crossed
+    * with the edge's attributes in ascending order, minimized.
+    */
+  def addEdge(trs: Vector[AttrSet], edge: AttrSet, ground: AttrSet): Vector[AttrSet] = {
+    val e = edge & ground
+    if (e.isEmpty) return Vector.empty
+    val (hit, miss) = trs.partition(_.intersects(e))
+    val extended = for { t <- miss; x <- e.toSeq } yield t + x
+    minimize(hit ++ extended)
+  }
+
+  /** Inclusion-minimal members of a family, deduplicated, in a stable sort
+    * by size.
+    */
+  def minimize(sets: Seq[AttrSet]): Vector[AttrSet] = {
+    val sorted = sets.distinct.sortBy(_.size)
+    val kept = Vector.newBuilder[AttrSet]
+    var keptSoFar = List.empty[AttrSet]
+    for (s <- sorted) {
+      if (!keptSoFar.exists(_.subsetOf(s))) {
+        kept += s
+        keptSoFar ::= s
+      }
+    }
+    kept.result()
+  }
+
   /** `getFullMVDs` (Fig. 6/16/17) as one self-contained search per call: the
     * per-pair DFS that the shared `MvdLattice` replaced, with its own
     * visited set and Fig. 16 loop. At most `k` ε-MVDs with key `key`

@@ -22,7 +22,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
 
   private def search(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
                      a: Int, b: Int): Set[Mvd] =
-    new MvdLattice(calc, omega, eps, Deadline.unlimited).fullMvds(key, a, b, Int.MaxValue).toSet
+    new MvdLattice(calc, omega, eps, Deadline.unlimited).fullMvds(key, a, b).toSet
 
   /** `count` distinct MVDs with key {0}: random partitions of 1..`attrs` into at most 6 dependents. */
   private def sameKeyFamily(count: Int, attrs: Int, seed: Long): Vector[Mvd] = {
@@ -84,9 +84,9 @@ class FullMvdSearchSpec extends AnyFunSuite {
       val omega = AttrSet.range(5)
       for (eps <- Seq(0.0, 0.1, 0.6)) {
         val probe = new MvdLattice(calc, omega, eps, Deadline.unlimited)
-          .fullMvds(AttrSet.of(3), 0, 1, 1)
+          .separates(AttrSet.of(3), 0, 1)
         val exists = bruteFull(calc, omega, AttrSet.of(3), eps, 0, 1).nonEmpty
-        assert(probe.nonEmpty == exists, s"seed=$seed eps=$eps")
+        assert(probe == exists, s"seed=$seed eps=$eps")
       }
     }
   }
@@ -142,16 +142,16 @@ class FullMvdSearchSpec extends AnyFunSuite {
       val key = AttrSet.of(5)
       def counters = (lattice.closures, lattice.nodes, calc.oracle.calls)
       val probe = lattice.separates(key, 0, 1)
-      val full = lattice.fullMvds(key, 0, 1, Int.MaxValue)
+      val full = lattice.fullMvds(key, 0, 1)
       assert(probe == full.nonEmpty)
       val before = counters
       assert(lattice.separates(key, 0, 1) == probe)
-      assert(lattice.fullMvds(key, 0, 1, Int.MaxValue) == full)
+      assert(lattice.fullMvds(key, 0, 1) == full)
       assert(counters == before, s"seed=$seed")
       // a failed probe has explored every node the pair can reach
       if (!lattice.separates(key, 2, 3)) {
         val explored = counters
-        assert(lattice.fullMvds(key, 2, 3, Int.MaxValue).isEmpty)
+        assert(lattice.fullMvds(key, 2, 3).isEmpty)
         assert(counters == explored, s"seed=$seed")
       }
     }
@@ -181,7 +181,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
           if (order > 0) ps.foreach { case (a, b) => lattice.separates(key, a, b) }
           for (((a, b), i) <- ps.zipWithIndex) {
             val before = (lattice.closures, lattice.nodes, calc.oracle.calls)
-            val got = lattice.fullMvds(key, a, b, Int.MaxValue)
+            val got = lattice.fullMvds(key, a, b)
             assert(got == expected((key, a, b)), s"relation $r eps=$eps order $order key=$key pair=($a,$b)")
             if (i > 0)
               assert((lattice.closures, lattice.nodes, calc.oracle.calls) == before,
@@ -220,9 +220,10 @@ class FullMvdSearchSpec extends AnyFunSuite {
         for (a <- rest; b <- rest if a < b) {
           assert(closure.filter(Reference.separates(_, a, b)) ==
                    Reference.pairwiseConsistent(calc, finest, eps, a, b), s"seed=$seed eps=$eps key=$key")
-          for (k <- Seq(1, Int.MaxValue))
-            assert(lattice.fullMvds(key, a, b, k) == Reference.fullMvds(calc, omega, key, eps, a, b, k),
-                   s"seed=$seed eps=$eps key=$key pair=($a,$b) k=$k")
+          assert(lattice.separates(key, a, b) == Reference.fullMvds(calc, omega, key, eps, a, b, 1).nonEmpty,
+                 s"seed=$seed eps=$eps key=$key pair=($a,$b) k=1")
+          assert(lattice.fullMvds(key, a, b) == Reference.fullMvds(calc, omega, key, eps, a, b, Int.MaxValue),
+                 s"seed=$seed eps=$eps key=$key pair=($a,$b) k=∞")
         }
       }
     }
@@ -277,7 +278,7 @@ class FullMvdSearchSpec extends AnyFunSuite {
     val fired = Deadline.ofMs(0)
     Thread.sleep(5)
     val got = new MvdLattice(calc, AttrSet.range(8), 0.0, fired)
-      .fullMvds(AttrSet.empty, 0, 1, Int.MaxValue)
+      .fullMvds(AttrSet.empty, 0, 1)
     assert(got.isEmpty) // the DFS pops no node once the deadline has fired
   }
 }

@@ -96,4 +96,26 @@ class MinSepMinerSpec extends AnyFunSuite {
       assert(seps.distinct.size == seps.size)
     }
   }
+
+  test("a cut deadline reports a prefix of the unlimited miner's separators") {
+    // a 3-column product relation: ∅ separates every pair at eps = 0, so a
+    // reduction of {2} that the deadline cuts at once is not minimal
+    val product = for { a <- 0 until 3; b <- 0 until 2; c <- 0 until 2 } yield Array(a, b, c)
+    val calc = TestData.calcOf(repro.core.entropy.EncodedRelation(Vector("A", "B", "C"), product.toArray))
+    val all = miner(calc, 3, 0.0).mineMinSeps(0, 1)
+    assert(all == Vector(AttrSet.empty))
+    val cut = new MinSepMiner(new MvdLattice(calc, AttrSet.range(3), 0.0, Deadline.ofMs(0)))
+    val got = cut.mineMinSeps(0, 1)
+    assert(all.startsWith(got), s"cut run returned $got, the minimal separators are $all")
+    // wider relations, cut after 0-2 ms
+    for (seed <- 0 until 10; eps <- Seq(0.0, 0.3); limitMs <- Seq(0L, 1L, 2L)) {
+      val calc = TestData.calcOf(TestData.randomRelation(8, 40, 3, seed + 5000))
+      for ((a, b) <- Seq((0, 1), (2, 7))) {
+        val all = miner(calc, 8, eps).mineMinSeps(a, b)
+        val lattice = new MvdLattice(calc, AttrSet.range(8), eps, Deadline.ofMs(limitMs))
+        val got = new MinSepMiner(lattice).mineMinSeps(a, b)
+        assert(all.startsWith(got), s"seed=$seed eps=$eps limit=$limitMs pair=($a,$b): $got vs $all")
+      }
+    }
+  }
 }
