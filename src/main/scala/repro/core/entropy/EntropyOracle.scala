@@ -24,6 +24,11 @@ trait EntropyOracle {
 
   /** Queries that required an actual computation (cache misses). */
   def computations: Long
+
+  /** Oracles for at most `n` workers that query this one's relation at
+    * once, one each. By default this oracle alone: it serves one worker.
+    */
+  def workers(n: Int): Vector[EntropyOracle] = Vector(this)
 }
 
 object EntropyOracle {

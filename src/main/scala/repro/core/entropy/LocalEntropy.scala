@@ -72,29 +72,46 @@ object EncodedRelation {
   * `partitionCacheCap` of them; single columns are kept aside. Entropies
   * are memoized without bound in a primitive open-addressing table.
   *
-  * This is our analog of the paper's main-memory H2 CNT/TID engine. It is
-  * not thread-safe: intersections share scratch arrays.
+  * This is our analog of the paper's main-memory H2 CNT/TID engine, and
+  * like it a service that several workers query at once (Sec. 6.3):
+  * [[workers]] gives each worker an oracle of its own over this one's
+  * relation.
+  *  - Shared by this oracle and all its workers, and safe to read from any
+  *    thread: the column codes, the single-column partitions, the
+  *    `c·log2 c` table and the entropy memo. Any thread may add to the memo;
+  *    `computations` counts the entropies added, so two workers that compute
+  *    one set at once count it once, and the later one returns the value
+  *    already there.
+  *  - Per oracle, for one thread at a time: the intersection scratch arrays,
+  *    the partition cache and the counters other than `computations`. An
+  *    oracle holds no reference to the workers it made, so theirs are
+  *    dropped with them.
   */
-final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 256)
+final class LocalEntropyOracle private (shared: LocalEntropyOracle.Shared, partitionCacheCap: Int)
     extends EntropyOracle {
-  import LocalEntropyOracle.Pli
+  import LocalEntropyOracle.{EmptyPli, Pli}
+  import shared.{cLog2C, codes, memo, nR, singles}
 
-  require(rel.n <= 64,
-    s"relation has ${rel.n} columns; AttrSet holds at most 64 attributes")
-  require(rel.rows.forall(_.length == rel.n),
-    s"every row must have ${rel.n} values, one per column")
+  def this(rel: EncodedRelation, partitionCacheCap: Int = 256) =
+    this(new LocalEntropyOracle.Shared(rel), partitionCacheCap)
 
-  private val nR = rel.size
-  def nAttrs: Int = rel.n
+  def nAttrs: Int = codes.length
   def nRows: Long = nR.toLong
 
+  /** `n` fresh oracles over this one's shared state, one per worker. */
+  override def workers(n: Int): Vector[EntropyOracle] =
+    Vector.fill(n)(new LocalEntropyOracle(shared, partitionCacheCap))
+
   private var callCount = 0L
-  private var compCount = 0L
   private var intersectCount = 0L
   private var cacheHitCount = 0L
   private var touchedCount = 0L
+
+  /** Queries asked of this oracle; a worker's count in the worker. */
   def calls: Long = callCount
-  def computations: Long = compCount
+
+  /** Entropies computed into the shared memo, by this oracle or any worker. */
+  def computations: Long = memo.size
 
   /** Partition intersections performed, those with an empty input included. */
   def partitionIntersections: Long = intersectCount
@@ -105,25 +122,13 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
   /** Stripped rows of the multi-column side read by intersections. */
   def rowsTouched: Long = touchedCount
 
-  private val memo = new LongDoubleMap
-
   // LRU partition cache (access-order LinkedHashMap), singles kept aside.
   private val partCache = new java.util.LinkedHashMap[Long, Pli](64, 0.75f, true) {
     override def removeEldestEntry(e: java.util.Map.Entry[Long, Pli]): Boolean =
       size() > partitionCacheCap
   }
 
-  /** `c·log2 c` for c = 0..N. */
-  private val cLog2C: Array[Double] =
-    Array.tabulate(nR + 1)(c => if (c < 2) 0.0 else c * EntropyOracle.log2(c.toDouble))
-
-  /** Column-major codes in [0, N): `codes(c)(r)` is row r's code in column
-    * c. They are the probe tables of intersections.
-    */
-  private val codes: Array[Array[Int]] = Array.tabulate(rel.n)(denseCodes)
-  private val singles: Array[Pli] = codes.map(singleColumn)
-
-  // Intersection scratch, shared by all calls and left clean after each.
+  // Intersection scratch, shared by this oracle's calls and left clean after each.
   private val count = new Array[Int](nR) // per code of the probe column; 0 when idle
   private val touched = new Array[Int](nR) // codes met by the current cluster
   private val outRows = new Array[Int](nR)
@@ -132,19 +137,12 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
   def entropy(x: AttrSet): Double = {
     callCount += 1
     val h = memo.get(x.bits)
-    if (!java.lang.Double.isNaN(h)) h
-    else {
-      val v = compute(x)
-      memo.put(x.bits, v)
-      v
-    }
+    if (!java.lang.Double.isNaN(h)) h else memo.putIfAbsent(x.bits, compute(x))
   }
 
-  private def compute(x: AttrSet): Double = {
-    compCount += 1
+  private def compute(x: AttrSet): Double =
     if (x.isEmpty || nR == 0) 0.0
     else EntropyOracle.fromGroupSizes(nRows, partition(x).sumClog2C)
-  }
 
   /** Partition for α by the lookup rule of the class doc. `best` is the
     * cached α − {A} with the fewest stripped rows, `widest` the A* to build
@@ -186,7 +184,7 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
     */
   private def intersect(a: Pli, c: Int): Pli = {
     intersectCount += 1
-    if (a.size == 0 || singles(c).size == 0) return LocalEntropyOracle.EmptyPli
+    if (a.size == 0 || singles(c).size == 0) return EmptyPli
     touchedCount += a.size
     val probe = codes(c)
     var nOut = 0
@@ -247,63 +245,6 @@ final class LocalEntropyOracle(rel: EncodedRelation, partitionCacheCap: Int = 25
     new Pli(java.util.Arrays.copyOf(outRows, nOut),
             java.util.Arrays.copyOf(outOffsets, nClusters + 1), sum)
   }
-
-  /** Stripped partition of a column by a counting sort over its codes:
-    * clusters in code order, rows ascending within a cluster.
-    */
-  private def singleColumn(codes: Array[Int]): Pli = {
-    val size = new Array[Int](nR)
-    codes.foreach(k => size(k) += 1)
-    val cursor = new Array[Int](nR)
-    var nOut = 0
-    var nClusters = 0
-    var sum = 0.0
-    var k = 0
-    while (k < nR) {
-      if (size(k) >= 2) {
-        cursor(k) = nOut
-        nOut += size(k)
-        nClusters += 1
-        sum += cLog2C(size(k))
-      }
-      k += 1
-    }
-    val rows = new Array[Int](nOut)
-    val offsets = new Array[Int](nClusters + 1)
-    var i = 0
-    k = 0
-    while (k < nR) {
-      if (size(k) >= 2) { offsets(i) = cursor(k); i += 1 }
-      k += 1
-    }
-    offsets(nClusters) = nOut
-    var r = 0
-    while (r < nR) {
-      val code = codes(r)
-      if (size(code) >= 2) { rows(cursor(code)) = r; cursor(code) += 1 }
-      r += 1
-    }
-    new Pli(rows, offsets, sum)
-  }
-
-  /** Column `c`'s codes in [0, N): as they are when they already lie there,
-    * as dictionary-encoded relations' do, else replaced by their rank among
-    * the column's distinct codes.
-    */
-  private def denseCodes(c: Int): Array[Int] = {
-    val codes = Array.tabulate(nR)(r => rel.rows(r)(c))
-    if (codes.forall(k => k >= 0 && k < nR)) codes
-    else {
-      val distinct = codes.clone()
-      java.util.Arrays.sort(distinct)
-      var u = 0
-      for (i <- distinct.indices if i == 0 || distinct(i) != distinct(i - 1)) {
-        distinct(u) = distinct(i)
-        u += 1
-      }
-      codes.map(k => java.util.Arrays.binarySearch(distinct, 0, u, k))
-    }
-  }
 }
 
 object LocalEntropyOracle {
@@ -318,57 +259,165 @@ object LocalEntropyOracle {
   }
 
   private val EmptyPli = new Pli(Array.emptyIntArray, Array(0), 0.0)
+
+  /** The state an oracle shares with its workers. All but the memo is
+    * immutable once built.
+    */
+  private final class Shared(rel: EncodedRelation) {
+    require(rel.n <= 64,
+      s"relation has ${rel.n} columns; AttrSet holds at most 64 attributes")
+    require(rel.rows.forall(_.length == rel.n),
+      s"every row must have ${rel.n} values, one per column")
+
+    val nR: Int = rel.size
+
+    /** `c·log2 c` for c = 0..N. */
+    val cLog2C: Array[Double] =
+      Array.tabulate(nR + 1)(c => if (c < 2) 0.0 else c * EntropyOracle.log2(c.toDouble))
+
+    /** Column-major codes in [0, N): `codes(c)(r)` is row r's code in column
+      * c. They are the probe tables of intersections.
+      */
+    val codes: Array[Array[Int]] = Array.tabulate(rel.n)(denseCodes)
+    val singles: Array[Pli] = codes.map(singleColumn)
+    val memo = new ConcurrentLongDoubleMap
+
+    /** Stripped partition of a column by a counting sort over its codes:
+      * clusters in code order, rows ascending within a cluster.
+      */
+    private def singleColumn(codes: Array[Int]): Pli = {
+      val size = new Array[Int](nR)
+      codes.foreach(k => size(k) += 1)
+      val cursor = new Array[Int](nR)
+      var nOut = 0
+      var nClusters = 0
+      var sum = 0.0
+      var k = 0
+      while (k < nR) {
+        if (size(k) >= 2) {
+          cursor(k) = nOut
+          nOut += size(k)
+          nClusters += 1
+          sum += cLog2C(size(k))
+        }
+        k += 1
+      }
+      val rows = new Array[Int](nOut)
+      val offsets = new Array[Int](nClusters + 1)
+      var i = 0
+      k = 0
+      while (k < nR) {
+        if (size(k) >= 2) { offsets(i) = cursor(k); i += 1 }
+        k += 1
+      }
+      offsets(nClusters) = nOut
+      var r = 0
+      while (r < nR) {
+        val code = codes(r)
+        if (size(code) >= 2) { rows(cursor(code)) = r; cursor(code) += 1 }
+        r += 1
+      }
+      new Pli(rows, offsets, sum)
+    }
+
+    /** Column `c`'s codes in [0, N): as they are when they already lie there,
+      * as dictionary-encoded relations' do, else replaced by their rank among
+      * the column's distinct codes.
+      */
+    private def denseCodes(c: Int): Array[Int] = {
+      val codes = Array.tabulate(nR)(r => rel.rows(r)(c))
+      if (codes.forall(k => k >= 0 && k < nR)) codes
+      else {
+        val distinct = codes.clone()
+        java.util.Arrays.sort(distinct)
+        var u = 0
+        for (i <- distinct.indices if i == 0 || distinct(i) != distinct(i - 1)) {
+          distinct(u) = distinct(i)
+          u += 1
+        }
+        codes.map(k => java.util.Arrays.binarySearch(distinct, 0, u, k))
+      }
+    }
+  }
 }
 
-/** Open-addressing `Long → Double` map, linear probing, at most half full.
-  * Key 0 marks a free slot, so the entry for key 0 is held aside. `get`
-  * returns NaN for an absent key, so NaN must never be stored.
+/** `Long → Double` memo that any number of threads read without a lock while
+  * one at a time adds to it. Open addressing, linear probing, at most half
+  * full; key 0 marks a free slot, so the entry for key 0 is held aside. An
+  * adder writes a slot's value before it publishes the key with a release
+  * store, so a reader that sees the key sees the value. A table that fills
+  * up is copied into one twice its size, which then replaces it; a reader
+  * still probing the old one may miss a key added since, and reads it as
+  * absent. `get` returns NaN for an absent key, so NaN must never be stored.
   */
-private final class LongDoubleMap {
-  private var keys = new Array[Long](256)
-  private var vals = new Array[Double](256)
-  private var shift = 64 - 8 // 64 − log2(capacity)
-  private var used = 0
-  private var zeroVal = Double.NaN
+private final class ConcurrentLongDoubleMap {
+  import ConcurrentLongDoubleMap.Table
 
-  /** The slot holding `k`, or the free slot where `k` belongs. */
-  private def slot(k: Long): Int = {
-    val mask = keys.length - 1
-    var i = ((k * 0x9E3779B97F4A7C15L) >>> shift).toInt
-    while (keys(i) != 0L && keys(i) != k) i = (i + 1) & mask
-    i
-  }
+  @volatile private var table = new Table(8)
+  @volatile private var zeroVal = Double.NaN
+  @volatile private var used = 0 // keys in `table`; written under the lock, as the table is
 
-  def get(k: Long): Double =
-    if (k == 0L) zeroVal
-    else {
-      val i = slot(k)
-      if (keys(i) == k) vals(i) else Double.NaN
-    }
+  /** Keys added so far. */
+  def size: Long = used + (if (java.lang.Double.isNaN(zeroVal)) 0L else 1L)
 
-  def put(k: Long, v: Double): Unit =
-    if (k == 0L) zeroVal = v
-    else {
-      val i = slot(k)
-      if (keys(i) != k) { keys(i) = k; used += 1 }
-      vals(i) = v
-      if (2 * used > keys.length) grow()
-    }
+  def get(k: Long): Double = if (k == 0L) zeroVal else table.get(k)
 
-  private def grow(): Unit = {
-    val oldKeys = keys
-    val oldVals = vals
-    keys = new Array[Long](oldKeys.length * 2)
-    vals = new Array[Double](oldKeys.length * 2)
-    shift -= 1
-    var i = 0
-    while (i < oldKeys.length) {
-      if (oldKeys(i) != 0L) {
-        val j = slot(oldKeys(i))
-        keys(j) = oldKeys(i)
-        vals(j) = oldVals(i)
+  /** Adds `k → v` if `k` is absent; returns the value `k` then has. */
+  def putIfAbsent(k: Long, v: Double): Double = synchronized {
+    if (k == 0L) {
+      if (java.lang.Double.isNaN(zeroVal)) zeroVal = v
+      zeroVal
+    } else {
+      val t = table
+      val i = t.slot(k)
+      if (t.keys.get(i) == k) t.vals(i)
+      else {
+        t.add(i, k, v)
+        used += 1
+        if (2 * used > t.capacity) table = t.doubled
+        v
       }
-      i += 1
+    }
+  }
+}
+
+private object ConcurrentLongDoubleMap {
+
+  private final class Table(logCapacity: Int) {
+    val keys = new java.util.concurrent.atomic.AtomicLongArray(1 << logCapacity)
+    val vals = new Array[Double](1 << logCapacity)
+    private val mask = (1 << logCapacity) - 1
+
+    def capacity: Int = mask + 1
+
+    private def home(k: Long): Int = ((k * 0x9E3779B97F4A7C15L) >>> (64 - logCapacity)).toInt
+
+    def get(k: Long): Double = {
+      var i = home(k)
+      var key = keys.getAcquire(i)
+      while (key != k && key != 0L) {
+        i = (i + 1) & mask
+        key = keys.getAcquire(i)
+      }
+      if (key == k) vals(i) else Double.NaN
+    }
+
+    /** The slot holding `k`, or the free slot where `k` belongs. */
+    def slot(k: Long): Int = {
+      var i = home(k)
+      while (keys.get(i) != 0L && keys.get(i) != k) i = (i + 1) & mask
+      i
+    }
+
+    def add(i: Int, k: Long, v: Double): Unit = {
+      vals(i) = v
+      keys.setRelease(i, k)
+    }
+
+    def doubled: Table = {
+      val t = new Table(logCapacity + 1)
+      for (i <- 0 to mask if keys.get(i) != 0L) t.add(t.slot(keys.get(i)), keys.get(i), vals(i))
+      t
     }
   }
 }

@@ -1,5 +1,6 @@
 package repro.core.mine
 
+import java.util.concurrent.{CompletableFuture, ConcurrentHashMap}
 import scala.collection.mutable
 import repro.core.{AttrSet, Mvd}
 import repro.core.info.InfoCalc
@@ -7,7 +8,7 @@ import repro.util.Deadline
 
 /** `getFullMVDs` (paper Fig. 6) with the pairwise-consistency optimization
   * (Fig. 16/17), run over one search lattice shared by every probe and
-  * expansion of an `MvdMiner.mine` call.
+  * expansion of one `MvdMiner.mine` worker.
   *
   * The search for a key `S` and pair (A, B) is a depth-first search over the
   * merge lattice of dependent partitions with key `S`, starting from the
@@ -46,10 +47,14 @@ import repro.util.Deadline
   * minimizing commute.
   *
   * Nothing computed after the deadline fired is cached. The lattice lives as
-  * long as the `mine` call that made it.
+  * long as the `mine` call that made it, and is used by one thread. The
+  * expansions are kept in `expansions`, which the lattices of one call's
+  * workers share: a lattice is a cache that changes no answer, so any of
+  * them can expand a key for all.
   */
 final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
-                       val deadline: Deadline) {
+                       val deadline: Deadline,
+                       expansions: MvdLattice.Expansions = new MvdLattice.Expansions) {
   import MvdLattice.{Node, keepFull}
 
   /** every closed node, open addressing with linear probing over `Node.hash` */
@@ -57,8 +62,6 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
   private var interned = 0
   /** key bits → closure of the key's all-singletons partition, or null */
   private val roots = mutable.LongMap.empty[Node]
-  /** key bits → the full ε-MVDs of the key's pair-free search, in DFS order */
-  private val expansions = mutable.LongMap.empty[Array[Node]]
   private var search = 0
   private var expanding = 0
   private var nClosures = 0L
@@ -120,12 +123,10 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
 
   /** The full ε-MVDs with key `key`, for every pair at once. */
   private def expansion(key: AttrSet): Array[Node] =
-    expansions.getOrElse(key.bits, {
+    expansions(key.bits, deadline) {
       val found = dfs(key, -1, -1, Int.MaxValue)
-      val full = keepFull(found.map(_.deps), deadline).map(found)
-      if (!deadline.exceeded) expansions(key.bits) = full
-      full
-    })
+      keepFull(found.map(_.deps), deadline).map(found)
+    }
 
   private def root(key: AttrSet): Node =
     roots.getOrElse(key.bits, {
@@ -231,6 +232,35 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
 }
 
 object MvdLattice {
+
+  /** Key bits → the full ε-MVDs of the key's pair-free search, in DFS order,
+    * for any number of lattices on as many threads. A key that one lattice
+    * is expanding is waited for, not expanded again. The nodes handed out
+    * are read only through their immutable key and dependents.
+    */
+  final class Expansions {
+    private val byKey = new ConcurrentHashMap[Long, CompletableFuture[Array[Node]]]
+
+    /** The expansion of `key`: the one stored or in progress, else `expand`,
+      * stored unless the deadline cut it.
+      */
+    private[MvdLattice] def apply(key: Long, deadline: Deadline)(expand: => Array[Node]): Array[Node] = {
+      val mine = new CompletableFuture[Array[Node]]
+      val known = byKey.putIfAbsent(key, mine)
+      if (known != null) return known.join()
+      try {
+        val full = expand
+        mine.complete(full)
+        if (deadline.exceeded) byKey.remove(key, mine)
+        full
+      } catch {
+        case t: Throwable =>
+          mine.completeExceptionally(t)
+          byKey.remove(key, mine)
+          throw t
+      }
+    }
+  }
 
   /** An interned closed node of the lattice: `key ↠ deps` with the
     * dependent masks in `Mvd.of`'s order.

@@ -36,20 +36,44 @@ final class Transversals {
   /** One Berge step: F becomes the minimal transversals of its edges and `edge`. */
   def addEdge(edge: AttrSet): Unit = {
     val e = edge.bits
-    val stay = sets.indices.filter(i => (sets(i) & e) != 0L).toArray
+    // The staying sets, and among them the ones that meet e once: a staying
+    // s with s − t = {x} meets e in x alone, as t misses e, and has at most
+    // |t| attributes, as s ≠ t ∪ {x} in the antichain F. Both lists are in
+    // size order like the t, so each t scans a prefix of `once`.
+    val stay = new Array[Int](sets.length)
+    val once = new Array[Long](sets.length)
+    var nStay, nOnce = 0
+    var i = 0
+    while (i < sets.length) {
+      val hit = sets(i) & e
+      if (hit != 0L) {
+        stay(nStay) = i
+        nStay += 1
+        if ((hit & (hit - 1)) == 0L) { once(nOnce) = sets(i); nOnce += 1 }
+      }
+      i += 1
+    }
     val cands = new scala.collection.mutable.ArrayBuilder.ofLong
-    for (t <- sets if (t & e) == 0L) {
-      var kill = 0L // the x of each staying s with s − t = {x}
-      var k = 0
-      while (k < stay.length) { val r = sets(stay(k)) & ~t; if ((r & (r - 1)) == 0L) kill |= r; k += 1 }
-      var xs = e & ~kill
-      while (xs != 0L) { cands += t | (xs & -xs); xs &= xs - 1 }
+    var end = 0 // the sets of `once` before `end` have at most |t| attributes
+    i = 0
+    while (i < sets.length) {
+      val t = sets(i)
+      if ((t & e) == 0L) {
+        while (end < nOnce && bitCount(once(end)) <= bitCount(t)) end += 1
+        var kill = 0L // the x of each staying s with s − t = {x}
+        var k = 0
+        while (k < end) { val r = once(k) & ~t; if ((r & (r - 1)) == 0L) kill |= r; k += 1 }
+        var xs = e & ~kill
+        while (xs != 0L) { cands += t | (xs & -xs); xs &= xs - 1 }
+      }
+      i += 1
     }
     val c = cands.result()
-    val (merged, flags) = (new Array[Long](stay.length + c.length), new Array[Boolean](stay.length + c.length))
-    var (i, j) = (0, 0)
+    val (merged, flags) = (new Array[Long](nStay + c.length), new Array[Boolean](nStay + c.length))
+    i = 0
+    var j = 0
     while (i + j < merged.length) {
-      if (j == c.length || i < stay.length && bitCount(sets(stay(i))) <= bitCount(c(j))) {
+      if (j == c.length || i < nStay && bitCount(sets(stay(i))) <= bitCount(c(j))) {
         merged(i + j) = sets(stay(i)); flags(i + j) = done(stay(i)); i += 1
       } else { merged(i + j) = c(j); j += 1 }
     }

@@ -55,13 +55,21 @@ object MaxIndependentSets {
       c
     }
 
+    val live = new Array[Int](w) // pivot's scratch: the indices of P's non-zero words
+
     /** The pivot of P, X, or -1 when some u ∈ X has no neighbour in P, so
-      * that no maximal set extends this frame.
+      * that no maximal set extends this frame. A score counts candidates,
+      * so it reads only the words where P has some.
       */
     def pivot(pd: Array[Long], xd: Array[Long]): Int = {
-      val pCount = popcount(pd)
-      var best, bestScore = -1
+      var nLive, pCount = 0
       var k = 0
+      while (k < w) {
+        if (pd(k) != 0L) { live(nLive) = k; nLive += 1; pCount += java.lang.Long.bitCount(pd(k)) }
+        k += 1
+      }
+      var best, bestScore = -1
+      k = 0
       while (k < w) {
         var bits = pd(k) | xd(k)
         while (bits != 0L) {
@@ -70,7 +78,7 @@ object MaxIndependentSets {
           val row = adj(u)
           var score = if ((pd(k) & (1L << u)) != 0L) -1 else 0
           var j = 0
-          while (j < w) { score += java.lang.Long.bitCount(pd(j) & ~row(j)); j += 1 }
+          while (j < nLive) { val q = live(j); score += java.lang.Long.bitCount(pd(q) & ~row(q)); j += 1 }
           if (score == pCount) return -1
           if (score > bestScore) { best = u; bestScore = score }
         }

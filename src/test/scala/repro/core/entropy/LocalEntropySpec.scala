@@ -200,6 +200,42 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
     assert(math.abs(h - NaiveEntropy.entropy(rel, AttrSet.of(0, 1, 2))) < 1e-12)
   }
 
+  test("four workers asking at once share one memo and agree with a single thread") {
+    val nCols = 10
+    val rel = TestData.randomRelation(nCols, 300, 3, seed = 77)
+    val single = new LocalEntropyOracle(rel)
+    for (round <- 0 until 20) {
+      val o = new LocalEntropyOracle(rel)
+      val ws = o.workers(4)
+      assert(ws.size == 4)
+      // 4 × 400 queries over 2^10 sets: the threads ask many sets at once
+      val rnd = new Random(round)
+      val asked = Array.fill(4, 400)(AttrSet(rnd.nextLong() & AttrSet.range(nCols).bits))
+      val got = Array.ofDim[Double](4, 400)
+      val go = new java.util.concurrent.CountDownLatch(1)
+      val failure = new java.util.concurrent.atomic.AtomicReference[Throwable]
+      val threads = (0 until 4).map { t =>
+        new Thread(() =>
+          try {
+            go.await()
+            for (i <- 0 until 400) got(t)(i) = ws(t).entropy(asked(t)(i))
+          } catch { case e: Throwable => failure.set(e) })
+      }
+      threads.foreach(_.start())
+      go.countDown()
+      threads.foreach(_.join())
+      assert(failure.get == null, String.valueOf(failure.get))
+      val value = scala.collection.mutable.HashMap.empty[AttrSet, Double]
+      for (t <- 0 until 4; i <- 0 until 400) {
+        val x = asked(t)(i)
+        assert(value.getOrElseUpdate(x, got(t)(i)) == got(t)(i), s"round $round: two values for $x")
+        assert(math.abs(got(t)(i) - single.entropy(x)) < 1e-12, s"round $round x=$x")
+      }
+      assert(o.computations == value.size && ws.forall(_.computations == value.size))
+      assert(ws.map(_.calls).sum == 4 * 400 && o.calls == 0)
+    }
+  }
+
   test("more than 64 columns is rejected, naming the AttrSet limit") {
     val rel = EncodedRelation(Vector.tabulate(65)(i => s"C$i"), Array(Array.fill(65)(0)))
     val e = intercept[IllegalArgumentException](new LocalEntropyOracle(rel))

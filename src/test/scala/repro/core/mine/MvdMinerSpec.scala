@@ -2,6 +2,8 @@ package repro.core.mine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{AttrSet, JoinTree, Reference, TestData}
+import repro.core.entropy.{EntropyOracle, LocalEntropyOracle}
+import repro.core.info.InfoCalc
 import repro.data.RunningExample
 
 class MvdMinerSpec extends AnyFunSuite {
@@ -108,5 +110,49 @@ class MvdMinerSpec extends AnyFunSuite {
       val (_, seps) = Reference.mine(calc, rel.n, eps, minSepsOnly = true)
       assert(res.minSeps == seps, s"relation $r eps=$eps")
     }
+  }
+
+  /** Delegates to `inner` but keeps `workers`' default: mining through it
+    * runs on one worker.
+    */
+  private final class OneWorker(inner: EntropyOracle) extends EntropyOracle {
+    def nAttrs: Int = inner.nAttrs
+    def nRows: Long = inner.nRows
+    def calls: Long = inner.calls
+    def computations: Long = inner.computations
+    def entropy(x: AttrSet): Double = inner.entropy(x)
+  }
+
+  test("several workers mine what one worker mines, in order, with the same computations") {
+    assert(new LocalEntropyOracle(relations.head).workers(2).size == 2)
+    for ((rel, r) <- relations.zipWithIndex; eps <- Seq(0.0, 0.1, 0.3); seps <- Seq(false, true)) {
+      val many = MvdMiner.mine(TestData.calcOf(rel), rel.n, eps, minSepsOnly = seps)
+      val one = MvdMiner.mine(new InfoCalc(new OneWorker(new LocalEntropyOracle(rel))), rel.n, eps,
+                              minSepsOnly = seps)
+      assert(!many.timedOut && !one.timedOut)
+      assert(many.mvds == one.mvds, s"relation $r eps=$eps")
+      assert(many.minSeps == one.minSeps, s"relation $r eps=$eps")
+      assert(many.entropyComputations == one.entropyComputations, s"relation $r eps=$eps")
+    }
+  }
+
+  test("a cut deadline reports, for each pair reached, a prefix of its separators") {
+    // at eps = 0.3 these mine for 0.4-1 s unlimited, so every limit below cuts them
+    val eps = 0.3
+    var reached = 0
+    for (seed <- 0 until 4) {
+      val rel = TestData.randomRelation(12, 200, 3, seed + 6000)
+      val all = MvdMiner.mine(TestData.calcOf(rel), rel.n, eps)
+      assert(!all.timedOut)
+      for (limitMs <- Seq(0L, 1L, 2L, 10L)) {
+        val cut = MvdMiner.mine(TestData.calcOf(rel), rel.n, eps, limitMs)
+        assert(cut.timedOut, s"seed=$seed limit=$limitMs (unlimited: ${all.elapsedMs} ms)")
+        reached += cut.minSeps.size
+        for ((pair, seps) <- cut.minSeps)
+          assert(all.minSeps.getOrElse(pair, Vector.empty).startsWith(seps),
+                 s"seed=$seed limit=$limitMs pair=$pair: $seps vs ${all.minSeps.get(pair)}")
+      }
+    }
+    assert(reached > 0)
   }
 }
