@@ -37,7 +37,7 @@ object Maimon {
 
   def runWithOracle(oracle: EntropyOracle, names: Vector[String], cfg: Config): Result = {
     val n = names.size
-    require(n >= 1, s"Maimon needs a relation with at least one column, got $n columns")
+    require(n >= 1 && n <= 64, s"Maimon needs 1 to 64 columns (at most 64 attributes), got $n columns")
     val calc = new InfoCalc(oracle)
     val mining = MvdMiner.mine(calc, n, cfg.eps, cfg.timeLimitMs)
     val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(n),

@@ -1,6 +1,6 @@
 package repro.core.mine
 
-import java.util.concurrent.{CompletableFuture, ConcurrentHashMap}
+import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
 import repro.core.{AttrSet, Mvd}
 import repro.core.info.InfoCalc
@@ -8,7 +8,7 @@ import repro.util.Deadline
 
 /** `getFullMVDs` (paper Fig. 6) with the pairwise-consistency optimization
   * (Fig. 16/17), run over one search lattice shared by every probe and
-  * expansion of one `MvdMiner.mine` worker.
+  * expansion of one `MvdMiner.mine` call.
   *
   * The search for a key `S` and pair (A, B) is a depth-first search over the
   * merge lattice of dependent partitions with key `S`, starting from the
@@ -46,51 +46,47 @@ import repro.util.Deadline
   * refinement of a separating MVD separates the pair too, so filtering and
   * minimizing commute.
   *
-  * Nothing computed after the deadline fired is cached. The lattice lives as
-  * long as the `mine` call that made it, and is used by one thread. The
-  * expansions are kept in `expansions`, which the lattices of one call's
-  * workers share: a lattice is a cache that changes no answer, so any of
-  * them can expand a key for all.
+  * `merge_ij` keeps the key, so the lattice is a disjoint union of per-key
+  * parts, held in `shared` for all the workers of one `mine` call; each
+  * worker's `MvdLattice` keeps only its oracle and counters. A public call
+  * holds its one key's lock throughout, so a worker never holds two. The
+  * lattice is a cache that changes no answer, whoever fills it. Nothing
+  * computed after the deadline fired is cached.
   */
 final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
                        val deadline: Deadline,
-                       expansions: MvdLattice.Expansions = new MvdLattice.Expansions) {
-  import MvdLattice.{Node, keepFull}
+                       shared: MvdLattice.Shared = new MvdLattice.Shared) {
+  import MvdLattice.{Node, Part, keepFull, merge}
 
-  /** every closed node, open addressing with linear probing over `Node.hash` */
-  private var table = new Array[Node](1024)
   private var interned = 0
-  /** key bits → closure of the key's all-singletons partition, or null */
-  private val roots = mutable.LongMap.empty[Node]
-  private var search = 0
-  private var expanding = 0
   private var nClosures = 0L
 
-  /** Distinct closed nodes interned so far. */
+  /** Distinct closed nodes this lattice interned in `shared`. */
   def nodes: Int = interned
 
-  /** Fig. 16 merge loops run so far. */
+  /** Fig. 16 merge loops this lattice ran. */
   def closures: Long = nClosures
 
   /** Fig. 16 without the A/B exit: repeatedly merge the first dependent pair
     * (in (i, j) order) with `I(Ci;Cj|S) > ε`; `None` once that leaves one
     * dependent, or when the deadline cuts the loop.
     */
-  def closure(phi: Mvd): Option[Mvd] =
-    Option(closed(phi.key.bits, phi.deps.iterator.map(_.bits).toArray, 0L)).map(_.mvd)
+  def closure(phi: Mvd): Option[Mvd] = shared(phi.key.bits) { p =>
+    Option(closed(p, phi.deps.iterator.map(_.bits).toArray, 0L)).map(_.mvd(p.key))
+  }
 
   /** The full (unrefinable) ε-MVDs with key `key` separating `a`,`b`, in
     * discovery order: line 5 of MVDMiner (Fig. 3).
     */
   def fullMvds(key: AttrSet, a: Int, b: Int): Vector[Mvd] = {
     checkPair(key, a, b)
-    expansion(key).iterator.filter(_.separates(a, b)).map(_.mvd).toVector
+    shared(key.bits)(expansion(_).iterator.filter(_.separates(a, b)).map(_.mvd(key.bits)).toVector)
   }
 
   /** Existence probe: does some ε-MVD with key `x` separate a,b? */
   def separates(x: AttrSet, a: Int, b: Int): Boolean = {
     checkPair(x, a, b)
-    dfs(x, a, b, 1).nonEmpty
+    shared(x.bits)(dfs(_, a, b, 1).nonEmpty)
   }
 
   private def checkPair(key: AttrSet, a: Int, b: Int): Unit = {
@@ -98,46 +94,49 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
     require(omega.contains(a) && omega.contains(b), "pair must be in omega")
   }
 
-  /** Fig. 6's DFS from `key`'s root: at most `k` holding nodes in discovery
+  /** Fig. 6's DFS from `p`'s root: at most `k` holding nodes in discovery
     * order, over the nodes that separate `a`, `b` (every node when `a < 0`).
     */
-  private def dfs(key: AttrSet, a: Int, b: Int, k: Int): mutable.ArrayBuffer[Node] = {
-    search += 1
+  private def dfs(p: Part, a: Int, b: Int, k: Int): mutable.ArrayBuffer[Node] = {
+    p.search += 1
     val out = mutable.ArrayBuffer.empty[Node]
     val stack = mutable.Stack.empty[Node]
     def visit(n: Node): Unit =
-      if ((a < 0 || n.separates(a, b)) && n.stamp != search) {
-        n.stamp = search
+      if ((a < 0 || n.separates(a, b)) && n.stamp != p.search) {
+        n.stamp = p.search
         stack.push(n)
       }
 
-    val r = root(key)
-    if (r != null) visit(r)
+    Option(root(p)).foreach(visit)
     while (stack.nonEmpty && out.size < k && !deadline.exceeded) {
       val phi = stack.pop()
-      if (holds(phi)) out += phi
-      else children(phi).foreach(visit)
+      if (holds(p.key, phi)) out += phi
+      else children(p, phi).foreach(visit)
     }
     out
   }
 
-  /** The full ε-MVDs with key `key`, for every pair at once. */
-  private def expansion(key: AttrSet): Array[Node] =
-    expansions(key.bits, deadline) {
-      val found = dfs(key, -1, -1, Int.MaxValue)
-      keepFull(found.map(_.deps), deadline).map(found)
+  /** The full ε-MVDs with `p`'s key, for every pair at once. */
+  private def expansion(p: Part): Array[Node] =
+    if (p.expansion != null) p.expansion
+    else {
+      val found = dfs(p, -1, -1, Int.MaxValue)
+      val full = keepFull(found.map(_.deps), deadline).map(found)
+      if (!deadline.exceeded) p.expansion = full
+      full
     }
 
-  private def root(key: AttrSet): Node =
-    roots.getOrElse(key.bits, {
-      val singles = omega.diff(key).toSeq.map(1L << _).toArray
+  private def root(p: Part): Node =
+    if (p.rooted) p.root
+    else {
+      val singles = omega.diff(AttrSet(p.key)).toSeq.map(1L << _).toArray
       java.util.Arrays.sort(singles)
-      val r = if (singles.length < 2) null else closed(key.bits, singles, 0L)
-      if (!deadline.exceeded) roots(key.bits) = r
+      val r = if (singles.length < 2) null else closed(p, singles, 0L)
+      if (!deadline.exceeded) { p.root = r; p.rooted = true }
       r
-    })
+    }
 
-  /** Fig. 16 on `key ↠ deps`: its interned node when that is closed, else
+  /** Fig. 16 on `p.key ↠ deps`: its interned node when that is closed, else
     * the merge loop, then the interned result (null when the loop collapses
     * it to one dependent or the deadline cuts it). When `dirty` is a
     * dependent, every pair of the other dependents is known to be consistent
@@ -145,22 +144,24 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
     * dependent are tested; the merged dependent is the dirty one of the next
     * round. The first inconsistent pair in (i, j) order is the same either way.
     */
-  private def closed(key: Long, deps: Array[Long], dirty: Long): Node = {
-    val known = table(slot(key, deps, MvdLattice.hash(key, deps)))
+  private def closed(p: Part, deps: Array[Long], dirty: Long): Node = {
+    val known = p.get(deps)
     if (known != null) return known
     nClosures += 1
     var cur = deps
     var d = dirty
-    var pair = inconsistentPair(key, cur, d)
+    var pair = inconsistentPair(p.key, cur, d)
     // an inconsistent pair left in a 2-dependent MVD collapses it to one dependent
     while (pair >= 0 && cur.length > 2 && !deadline.exceeded) {
       val i = pair >>> 6
       val j = pair & 63
       if (d != 0L) d = cur(i) | cur(j)
-      cur = MvdLattice.merge(cur, i, j)
-      pair = inconsistentPair(key, cur, d)
+      cur = merge(cur, i, j)
+      pair = inconsistentPair(p.key, cur, d)
     }
-    if (pair >= 0 || deadline.exceeded) null else intern(key, cur)
+    if (pair >= 0 || deadline.exceeded) return null
+    val n = p.get(cur)
+    if (n != null) n else { interned += 1; p.add(cur) }
   }
 
   /** First pair (i, j) in order with `I(Ci;Cj|S) > ε` among the pairs that
@@ -181,22 +182,22 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
     -1
   }
 
-  private def holds(n: Node): Boolean = {
-    if (n.holds == 0) n.holds = if (calc.holds(AttrSet(n.key), n.deps, eps)) 1 else -1
+  private def holds(key: Long, n: Node): Boolean = {
+    if (n.holds == 0) n.holds = if (calc.holds(AttrSet(key), n.deps, eps)) 1 else -1
     n.holds > 0
   }
 
-  private def children(n: Node): Array[Node] = {
+  private def children(p: Part, n: Node): Array[Node] = {
     if (n.children == null) {
       val m = n.deps.length
       val out = mutable.ArrayBuffer.empty[Node]
-      expanding += 1
+      p.expanding += 1
       // merging a 2-dependent node leaves one dependent: no children
       if (m > 2)
         for (i <- 0 until m; j <- i + 1 until m if !deadline.exceeded) {
-          val c = closed(n.key, MvdLattice.merge(n.deps, i, j), n.deps(i) | n.deps(j))
-          if (c != null && c.mark != expanding) {
-            c.mark = expanding
+          val c = closed(p, merge(n.deps, i, j), n.deps(i) | n.deps(j))
+          if (c != null && c.mark != p.expanding) {
+            c.mark = p.expanding
             out += c
           }
         }
@@ -206,66 +207,68 @@ final class MvdLattice(val calc: InfoCalc, val omega: AttrSet, val eps: Double,
     }
     n.children
   }
-
-  /** The table slot holding `key ↠ deps`, or the empty slot where it goes. */
-  private def slot(key: Long, deps: Array[Long], h: Int): Int = {
-    val mask = table.length - 1
-    var s = h & mask
-    while (table(s) != null && !table(s).is(key, deps, h)) s = (s + 1) & mask
-    s
-  }
-
-  private def intern(key: Long, deps: Array[Long]): Node = {
-    val h = MvdLattice.hash(key, deps)
-    val s = slot(key, deps, h)
-    if (table(s) == null) {
-      table(s) = new Node(key, deps, h)
-      interned += 1
-      if (2 * interned > table.length) {
-        val old = table
-        table = new Array[Node](2 * old.length)
-        for (n <- old if n != null) table(slot(n.key, n.deps, n.hash)) = n
-      }
-    }
-    table(slot(key, deps, h))
-  }
 }
 
 object MvdLattice {
 
-  /** Key bits → the full ε-MVDs of the key's pair-free search, in DFS order,
-    * for any number of lattices on as many threads. A key that one lattice
-    * is expanding is waited for, not expanded again. The nodes handed out
-    * are read only through their immutable key and dependents.
+  /** The search lattice of one `mine` call, for any number of
+    * [[MvdLattice]]s on as many threads that agree on Ω, ε and the
+    * deadline: key bits → that key's part, made on first use.
     */
-  final class Expansions {
-    private val byKey = new ConcurrentHashMap[Long, CompletableFuture[Array[Node]]]
+  final class Shared {
+    private val parts = new ConcurrentHashMap[Long, Part]
 
-    /** The expansion of `key`: the one stored or in progress, else `expand`,
-      * stored unless the deadline cut it.
-      */
-    private[MvdLattice] def apply(key: Long, deadline: Deadline)(expand: => Array[Node]): Array[Node] = {
-      val mine = new CompletableFuture[Array[Node]]
-      val known = byKey.putIfAbsent(key, mine)
-      if (known != null) return known.join()
-      try {
-        val full = expand
-        mine.complete(full)
-        if (deadline.exceeded) byKey.remove(key, mine)
-        full
-      } catch {
-        case t: Throwable =>
-          mine.completeExceptionally(t)
-          byKey.remove(key, mine)
-          throw t
-      }
+    /** `f` on `key`'s part, under the part's lock. */
+    private[MvdLattice] def apply[T](key: Long)(f: Part => T): T = {
+      val p = parts.computeIfAbsent(key, new Part(_))
+      p.synchronized(f(p))
     }
   }
 
-  /** An interned closed node of the lattice: `key ↠ deps` with the
+  /** The closed nodes with one key, their root and their expansion, and the
+    * stamps of the searches over them. Used only under its own lock.
+    */
+  private final class Part(val key: Long) {
+    /** open addressing with linear probing over `Node.hash` */
+    private var table = new Array[Node](2)
+    private var size = 0
+    var rooted = false
+    /** closure of the key's all-singletons partition, or null */
+    var root: Node = null
+    var expansion: Array[Node] = null
+    /** the last search, and the last child listing, over these nodes */
+    var search = 0
+    var expanding = 0
+
+    /** The node `key ↠ deps`, or null. */
+    def get(deps: Array[Long]): Node = table(slot(deps, hash(deps)))
+
+    /** Adds `key ↠ deps`, which is not in the table. */
+    def add(deps: Array[Long]): Node = {
+      val n = new Node(deps, hash(deps))
+      table(slot(deps, n.hash)) = n
+      size += 1
+      if (2 * size > table.length) {
+        val old = table
+        table = new Array[Node](2 * old.length)
+        for (o <- old if o != null) table(slot(o.deps, o.hash)) = o
+      }
+      n
+    }
+
+    /** The table slot holding `key ↠ deps`, or the empty slot where it goes. */
+    private def slot(deps: Array[Long], h: Int): Int = {
+      val mask = table.length - 1
+      var s = h & mask
+      while (table(s) != null && !table(s).is(deps, h)) s = (s + 1) & mask
+      s
+    }
+  }
+
+  /** An interned closed node of a key's part: `key ↠ deps` with the
     * dependent masks in `Mvd.of`'s order.
     */
-  private final class Node(val key: Long, val deps: Array[Long], val hash: Int) {
+  private final class Node(val deps: Array[Long], val hash: Int) {
     /** 0 = J not yet tested, 1 = `J ≤ ε`, -1 = `J > ε` */
     var holds: Int = 0
     var children: Array[Node] = null
@@ -274,8 +277,7 @@ object MvdLattice {
     /** the last expansion that listed this node as a child */
     var mark: Int = 0
 
-    def is(k: Long, ds: Array[Long], h: Int): Boolean =
-      hash == h && key == k && java.util.Arrays.equals(deps, ds)
+    def is(ds: Array[Long], h: Int): Boolean = hash == h && java.util.Arrays.equals(deps, ds)
 
     /** `a` and `b` lie in distinct dependents; both must be non-key
       * attributes of the node's cover.
@@ -288,11 +290,11 @@ object MvdLattice {
     }
 
     // the masks are already in Mvd.of's order
-    def mvd: Mvd = Mvd(AttrSet(key), deps.iterator.map(AttrSet(_)).toVector)
+    def mvd(key: Long): Mvd = Mvd(AttrSet(key), deps.iterator.map(AttrSet(_)).toVector)
   }
 
-  private def hash(key: Long, deps: Array[Long]): Int = {
-    var h = key * 0x9E3779B97F4A7C15L
+  private def hash(deps: Array[Long]): Int = {
+    var h = 0L
     var i = 0
     while (i < deps.length) {
       h = (h ^ deps(i)) * 0x9E3779B97F4A7C15L

@@ -1,7 +1,6 @@
 package repro.core.mine
 
 import repro.core.AttrSet
-import repro.core.info.InfoCalc
 
 /** MineMinSeps + ReduceMinSep (paper Fig. 4/5): all minimal A,B-separators
   * of R at threshold ε. A set X (A,B ∉ X) *separates* A,B if some ε-MVD with
@@ -11,7 +10,7 @@ import repro.core.info.InfoCalc
   * through the shared search `lattice`, which fixes Ω, ε and the deadline.
   */
 class MinSepMiner(lattice: MvdLattice) {
-  import lattice.{calc, deadline, eps, omega}
+  import lattice.{deadline, omega}
 
   /** Existence probe: does some ε-MVD with key `x` separate a,b? */
   def separates(x: AttrSet, a: Int, b: Int): Boolean = lattice.separates(x, a, b)
@@ -32,10 +31,8 @@ class MinSepMiner(lattice: MvdLattice) {
     */
   def mineMinSeps(a: Int, b: Int): Vector[AttrSet] = {
     val ground = omega - a - b
-    // Line 3: the largest candidate key is Ω\{A,B}; the only MVD with that
-    // key separating A,B is X ↠ A|B, so the probe is a single CMI.
-    if (calc.cmi(AttrSet.single(a), AttrSet.single(b), ground) > eps + InfoCalc.Tol)
-      return Vector.empty
+    // Line 3: Ω − {A, B}, the largest candidate key, separates A, B if any key does
+    if (!separates(ground, a, b)) return Vector.empty
     val seps = Vector.newBuilder[AttrSet]
     val trs = new Transversals
     def add(x: AttrSet): Unit = {

@@ -13,11 +13,11 @@ import repro.util.Deadline
   *
   * No pair depends on another, so the pairs are mined by as many workers as
   * the oracle serves ([[EntropyOracle.workers]]), at most one per core. Each
-  * worker takes the next pair from a shared counter and searches its own
-  * [[MvdLattice]], a cache that changes no answer; the lattices share their
-  * key expansions. The per-pair results are merged in pair order, so a
-  * complete run gives the same ordered M_ε and separators whatever the
-  * number of workers.
+  * worker takes the next pair from a shared counter and searches one
+  * [[MvdLattice]] over one shared search lattice, a cache that changes no
+  * answer, split by key. The per-pair results are merged in pair order, so
+  * a complete run gives the same ordered M_ε, separators and search nodes
+  * whatever the number of workers.
   */
 object MvdMiner {
 
@@ -26,11 +26,11 @@ object MvdMiner {
     * @param timedOut    whether the wall-clock budget fired (results partial)
     * @param elapsedMs   total mining wall time
     * @param entropyCalls / entropyComputations: oracle traffic for the benches
-    * @param searchNodes closed nodes interned by the workers' search lattices
+    * @param searchNodes closed nodes interned in the shared search lattice
     * @param closures    Fig. 16 merge loops run (closures computed), over all
-    *   workers. Each separator key is expanded once by a search that does
-    *   not filter by the pair, which can close a few nodes that no per-pair
-    *   search reaches.
+    *   workers. Each separator key is expanded once by a pair-free search,
+    *   which can close a few nodes no per-pair search reaches; the count
+    *   varies with the order in which the workers meet the merge inputs.
     */
   final case class Result(
       mvds: Vector[Mvd],
@@ -69,9 +69,9 @@ object MvdMiner {
     val seps = new Array[Vector[AttrSet]](pairs.length)
     val found = new Array[Vector[Mvd]](pairs.length)
     val next = new AtomicInteger
-    val expansions = new MvdLattice.Expansions
+    val shared = new MvdLattice.Shared
     val lattices = onWorkers(oracles) { oracle =>
-      val lattice = new MvdLattice(new InfoCalc(oracle), omega, eps, deadline, expansions)
+      val lattice = new MvdLattice(new InfoCalc(oracle), omega, eps, deadline, shared)
       val miner = new MinSepMiner(lattice)
       var i = next.getAndIncrement()
       while (i < pairs.length && !deadline.exceeded) {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
+import repro.core.entropy.{EncodedRelation, LocalEntropyOracle, NaiveEntropyOracle}
 import repro.core.quality.SchemaQuality
 import repro.data.{MetanomeLite, NurseryData, RunningExample}
 
@@ -100,5 +100,57 @@ class MaimonSpec extends SparkSpec {
     assert(!res.mining.timedOut && !res.schemes.timedOut && !res.schemes.capped)
     assert(res.schemes.schemes.nonEmpty)
     res.schemes.schemes.foreach(s => assert(s.j == 0.0, s.schema.toString))
+  }
+
+  test("every row doubled: the same M_ε, separators and schemes, J within 1e-9") {
+    // doubling every row leaves the empirical distribution, so every entropy, as it is
+    val df = MetanomeLite.load(spark, "breast_cancer", rowCap = 200).cache()
+    for (eps <- Seq(0.0, 0.1)) {
+      val cfg = Maimon.Config(eps = eps)
+      val once = Maimon.run(df, cfg)
+      val twice = Maimon.run(df.union(df), cfg)
+      assert(twice.nRows == 2 * once.nRows)
+      assert(!once.mining.timedOut && !twice.mining.timedOut && !once.schemes.timedOut && !twice.schemes.timedOut)
+      assert(once.mvds.nonEmpty && twice.mvds == once.mvds, s"eps=$eps")
+      assert(twice.mining.minSeps == once.mining.minSeps, s"eps=$eps")
+      assert(twice.schemes.schemes.map(_.schema.bags) == once.schemes.schemes.map(_.schema.bags), s"eps=$eps")
+      for ((t, o) <- twice.schemes.schemes.zip(once.schemes.schemes))
+        assert(math.abs(t.j - o.j) <= 1e-9, s"eps=$eps ${o.schema}: J ${o.j} vs ${t.j}")
+    }
+  }
+
+  test("nulls: the result of the frame with each null replaced by a value new to its column") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(17)
+    def orNull(v: Int): Option[String] = if (rnd.nextInt(6) == 0) None else Some(s"v$v")
+    val df = Seq.fill(80) {
+      val a = rnd.nextInt(4)
+      (orNull(a), orNull(rnd.nextInt(3)), orNull((a * 7 + 3) % 4), orNull(rnd.nextInt(3)))
+    }.toDF("A", "B", "C", "D").cache()
+    val filled = df.na.fill("none")
+    assert(df.filter($"A".isNull || $"D".isNull).count() > 0)
+    val rel = EncodedRelation.fromDataFrame(df)
+    assert(rel.rows.map(_.toSeq).toSeq == EncodedRelation.fromDataFrame(filled).rows.map(_.toSeq).toSeq)
+    // null has a code of its own: one more than the column's other values
+    assert(rel.rows.map(_(0)).distinct.length == df.select("A").na.drop().distinct().count() + 1)
+    var mined = 0
+    for (eps <- Seq(0.0, 0.3)) {
+      val withNulls = Maimon.run(df, Maimon.Config(eps = eps))
+      val replaced = Maimon.run(filled, Maimon.Config(eps = eps))
+      assert(withNulls.mvds == replaced.mvds, s"eps=$eps")
+      assert(withNulls.mining.minSeps == replaced.mining.minSeps, s"eps=$eps")
+      assert(withNulls.schemes.schemes == replaced.schemes.schemes, s"eps=$eps")
+      mined += withNulls.mvds.size
+    }
+    assert(mined > 0)
+  }
+
+  test("a relation with 65 columns through a non-PLI oracle is rejected before any entropy call") {
+    val rel = EncodedRelation(Vector.tabulate(65)(i => s"c$i"), Array.fill(3)(Array.fill(65)(0)))
+    val oracle = new NaiveEntropyOracle(rel)
+    val e = intercept[IllegalArgumentException](
+      Maimon.runWithOracle(oracle, rel.names, Maimon.Config(eps = 0.0)))
+    assert(e.getMessage.contains("at most 64 attributes") && e.getMessage.contains("65 columns"), e.getMessage)
+    assert(oracle.calls == 0L)
   }
 }

@@ -3,7 +3,7 @@ package repro.core.mine
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.{AttrSet, Mvd, Reference, TestData}
-import repro.core.entropy.EncodedRelation
+import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
 import repro.core.info.InfoCalc
 import repro.util.Deadline
 
@@ -189,6 +189,47 @@ class FullMvdSearchSpec extends AnyFunSuite {
           }
         }
       }
+    }
+    assert(several > 0, "no expansion found two MVDs, so the order went untested")
+  }
+
+  test("four workers over one MvdLattice.Shared answer as a lone lattice does, and intern its nodes once") {
+    val rel = TestData.randomRelation(8, 30, 3, 1301)
+    val omega = AttrSet.range(rel.n)
+    // (key, a, b, k = ∞?) for every key and pair it leaves
+    type Call = (AttrSet, Int, Int, Boolean)
+    val calls: Vector[Call] = for {
+      key <- AttrSet.subsetsOf(omega).toVector
+      rest = omega.diff(key).toSeq
+      a <- rest; b <- rest if a < b
+      full <- Seq(false, true)
+    } yield (key, a, b, full)
+    var several = 0
+    def ask(lattice: MvdLattice, call: Call): Any = call match {
+      case (key, a, b, true) => lattice.fullMvds(key, a, b)
+      case (key, a, b, false) => lattice.separates(key, a, b)
+    }
+    for (eps <- Seq(0.0, 0.1, 0.3)) {
+      val lone = new MvdLattice(TestData.calcOf(rel), omega, eps, Deadline.unlimited)
+      val expected = calls.map(c => c -> ask(lone, c)).toMap
+      val shared = new MvdLattice.Shared
+      val oracles = new LocalEntropyOracle(rel).workers(4)
+      val lattices = oracles.map(o => new MvdLattice(new InfoCalc(o), omega, eps, Deadline.unlimited, shared))
+      // each thread asks every call, in an order of its own
+      val answers = new Array[Seq[(Call, Any)]](lattices.size)
+      val failure = new java.util.concurrent.atomic.AtomicReference[Throwable]
+      val threads = lattices.indices.map { t =>
+        new Thread(() =>
+          try answers(t) = new Random(t).shuffle(calls).map(c => c -> ask(lattices(t), c))
+          catch { case e: Throwable => failure.compareAndSet(null, e) })
+      }
+      threads.foreach(_.start())
+      threads.foreach(_.join())
+      if (failure.get != null) throw failure.get
+      for (t <- lattices.indices; (c, got) <- answers(t))
+        assert(got == expected(c), s"eps=$eps thread $t call $c")
+      assert(lattices.map(_.nodes).sum == lone.nodes, s"eps=$eps")
+      several += expected.values.count { case v: Vector[_] => v.size >= 2; case _ => false }
     }
     assert(several > 0, "no expansion found two MVDs, so the order went untested")
   }

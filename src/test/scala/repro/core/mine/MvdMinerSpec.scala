@@ -133,6 +133,8 @@ class MvdMinerSpec extends AnyFunSuite {
       assert(many.mvds == one.mvds, s"relation $r eps=$eps")
       assert(many.minSeps == one.minSeps, s"relation $r eps=$eps")
       assert(many.entropyComputations == one.entropyComputations, s"relation $r eps=$eps")
+      // the closed nodes are what the probes and expansions visit, whoever runs them
+      assert(many.searchNodes == one.searchNodes, s"relation $r eps=$eps")
     }
   }
 
